@@ -140,11 +140,18 @@ struct EngineSpec {
 };
 constexpr EngineSpec Engines[] = {
     {"tree", DispatchEngine::Tree, false},
-    {"flat", DispatchEngine::Flat, false},
     {"threaded", DispatchEngine::Threaded, false},
     {"threaded-pairs", DispatchEngine::Threaded, true},
 };
 constexpr size_t NumEngines = sizeof(Engines) / sizeof(Engines[0]);
+/// The chain tier delta's two legs: threaded over the chains artifact and
+/// over the pairs artifact.
+constexpr size_t ChainsLeg = 1, PairsLeg = 2;
+static_assert(Engines[ChainsLeg].Engine == DispatchEngine::Threaded &&
+                  !Engines[ChainsLeg].PairsOnly &&
+                  Engines[PairsLeg].Engine == DispatchEngine::Threaded &&
+                  Engines[PairsLeg].PairsOnly,
+              "chain tier delta compares threaded chains against pairs");
 
 const ExecModel ReportModels[] = {ExecModel::Ocelot, ExecModel::JitOnly,
                                   ExecModel::AtomicsOnly};
@@ -387,8 +394,9 @@ int runInterpReport(const std::string &Path) {
       }
       // Chain tier delta: chains-vs-pairs on the threaded engine. > 1
       // means the superblock chains pay for themselves on this row.
-      double ChainDelta =
-          Speedup[3] > 0 ? Speedup[2] / Speedup[3] : 0;
+      double ChainDelta = Speedup[PairsLeg] > 0
+                              ? Speedup[ChainsLeg] / Speedup[PairsLeg]
+                              : 0;
       std::fprintf(Out,
                    "%s    {\"benchmark\": \"%s\", \"model\": \"%s\", "
                    "\"steps_per_run\": %llu, \"steps_per_sec\": {",
@@ -602,11 +610,6 @@ void BM_InterpretContinuousThreaded(benchmark::State &State) {
   interpretContinuous(State, DispatchEngine::Threaded);
 }
 BENCHMARK(BM_InterpretContinuousThreaded);
-
-void BM_InterpretContinuousFlat(benchmark::State &State) {
-  interpretContinuous(State, DispatchEngine::Flat);
-}
-BENCHMARK(BM_InterpretContinuousFlat);
 
 void BM_InterpretContinuousTree(benchmark::State &State) {
   interpretContinuous(State, DispatchEngine::Tree);

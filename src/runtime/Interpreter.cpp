@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Engine-independent interpreter state plus the tree-walking reference
-/// engine. The flat PC-indexed engine lives in InterpreterFlat.cpp; the two
-/// must stay observationally identical (ExecImageTest pins this).
+/// Engine-independent interpreter state, the tree-walking reference
+/// engine, and the slow paths the threaded engine calls out of line
+/// (region entry, power failure, provenance chains). The threaded loop
+/// itself lives in InterpreterThreaded.cpp; the two engines must stay
+/// observationally identical (ExecImageTest pins this).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -347,6 +349,106 @@ void Interpreter::powerFail(RunResult &R) {
   }
 }
 
+ProvChain Interpreter::currentChainFlat(int Func, uint32_t FinalLabel) const {
+  // Frame I was created by the call instruction at FFrames[I].ReturnPc - 1;
+  // that instruction's Func field is the caller, mirroring the tree
+  // engine's (Frames[I-1].Func, Frames[I].CallSiteLabel) pairs.
+  ProvChain C;
+  const FlatInst *Code = Img->code().data();
+  for (size_t I = 1; I < FFrames.size(); ++I) {
+    const FlatInst &CallI = Code[FFrames[I].ReturnPc - 1];
+    C.push_back(InstrRef(CallI.Func, CallI.Label));
+  }
+  C.push_back(InstrRef(Func, FinalLabel));
+  return C;
+}
+
+void Interpreter::enterAtomicFlat(const FlatInst &I, RunResult &R) {
+  if (ExecMode == Mode::Atomic) {
+    ++Natom; // Atom-Start-Inner: flattening counter only.
+    return;
+  }
+  // Atom-Start-Outer: snapshot volatile state positioned after the start
+  // (Pc has already advanced past the AtomicStart, like the tree engine's
+  // Idx). Saving the volatile context costs like a JIT checkpoint (§6.3).
+  uint64_t SaveCost = Cfg.Costs.RegionEntryPerFrame * FFrames.size();
+  R.OnCycles += SaveCost;
+  LifetimeOn += SaveCost;
+  Tau += SaveCost;
+  if (Energy)
+    Energy->consume(SaveCost);
+  ExecMode = Mode::Atomic;
+  CurrentRegion = I.RegionId;
+  Natom = 0;
+  AbortsThisRegion = 0;
+  FlatAtomicSnapshot.Frames = FFrames;
+  FlatAtomicSnapshot.Regs = RegStack;
+  FlatAtomicSnapshot.Pc = Pc;
+  Undo.clear();
+  if (Cfg.StaticOmega && I.OmegaCount) {
+    // The omega set was flattened next to the region start at image build
+    // time, in the same ascending order the tree engine reads out of
+    // RegionInfo::Omega — identical undo-log entry sequence.
+    const int32_t *Omega = Img->omegaGlobals(I);
+    for (uint32_t OI = 0; OI < I.OmegaCount; ++OI) {
+      int G = Omega[OI];
+      uint32_t Size = Img->globalSize(G);
+      for (uint32_t Idx = 0; Idx < Size; ++Idx) {
+        if (Undo.logIfFirst(G, static_cast<int64_t>(Idx), nvmCell(G, Idx))) {
+          ++R.UndoLogEntries;
+          R.OnCycles += Cfg.Costs.AtomicOmegaPerCell;
+          LifetimeOn += Cfg.Costs.AtomicOmegaPerCell;
+          Tau += Cfg.Costs.AtomicOmegaPerCell;
+        }
+      }
+    }
+  }
+  if (TraceSink *T = Cfg.Telemetry)
+    T->regionEnter(Tau, CurrentRegion);
+}
+
+void Interpreter::powerFailFlat(RunResult &R) {
+  // The register stack holds exactly every live frame's register file, so
+  // its size equals the tree engine's per-frame sum.
+  uint64_t TotalRegs = RegStack.size();
+  rebootCommon(R, TotalRegs);
+
+  if (ExecMode == Mode::Atomic) {
+    // Atom-Reboot: apply the undo log, restore the region-entry context.
+    Undo.restore([&](int G, int64_t Index, const RtValue &Old) {
+      nvmCell(G, Index) = Old;
+    });
+    // In static mode the log *is* the region's backup and is retained for
+    // the next attempt; dynamic mode re-logs on first write.
+    if (!Cfg.StaticOmega)
+      Undo.clear();
+    FFrames = FlatAtomicSnapshot.Frames;
+    RegStack = FlatAtomicSnapshot.Regs;
+    Pc = FlatAtomicSnapshot.Pc;
+    Natom = 0;
+    PendingInputs.clear();
+    PendingOutputs.clear();
+    PendingOracle.clear();
+    ++R.AtomicAborts;
+    ++AbortsThisRegion;
+    if (TraceSink *T = Cfg.Telemetry)
+      T->regionRetry(Tau, CurrentRegion, AbortsThisRegion);
+    if (AbortsThisRegion > Cfg.MaxAbortsPerRegion) {
+      R.Starved = true;
+      FFrames.clear();
+      RegStack.clear();
+    }
+  } else {
+    // JIT-Reboot: restore volatile state (identity here; costed). Pc is
+    // untouched: execution resumes at the interrupted instruction.
+    uint64_t RestCost =
+        Cfg.Costs.RestoreBase + Cfg.Costs.RestorePerReg * TotalRegs;
+    R.OnCycles += RestCost;
+    LifetimeOn += RestCost;
+    Tau += RestCost;
+  }
+}
+
 bool Interpreter::checkEnergyAndPlan(uint64_t Cost) {
   if (Energy) {
     if (Energy->consume(Cost))
@@ -362,12 +464,10 @@ RunResult Interpreter::runOnce() {
   switch (Cfg.Dispatch) {
   case DispatchEngine::Tree:
     return runOnceTree();
-  case DispatchEngine::Flat:
-    return runOnceFlat();
   case DispatchEngine::Threaded:
     return runOnceThreaded();
   }
-  return runOnceFlat(); // Unreachable; silences -Wreturn-type.
+  return runOnceThreaded(); // Unreachable; silences -Wreturn-type.
 }
 
 RunResult Interpreter::runOnceTree() {

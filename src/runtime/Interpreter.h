@@ -21,18 +21,16 @@
 ///  * Optional dynamic taint (Appendix B) feeds the formal violation
 ///    checker; the bit-vector detector (§7.3) runs independently.
 ///
-/// Three dispatch engines implement these semantics and are pinned to
+/// Two dispatch engines implement these semantics and are pinned to
 /// bitwise-identical results by differential tests (ExecImageTest,
 /// DifferentialFuzzTest):
 ///
-///  * Threaded (the default) — computed-goto direct-threaded dispatch
-///    (with a portable switch fallback) over the image's ThreadedOp view,
-///    in which a build-time peephole pass fused hot adjacent opcode pairs
-///    into superinstructions. Shares the flat engine's volatile state and
-///    slow paths (power failure, region entry, commit).
-///  * Flat — PC-indexed dispatch over the artifact's `ExecutableImage`:
-///    one contiguous instruction array, pre-resolved branch/call targets,
-///    a folded cost table, and dense monitor/region side tables. Frames
+///  * Threaded (the default) — PC-indexed, computed-goto direct-threaded
+///    dispatch (with a portable switch fallback) over the artifact's
+///    `ExecutableImage`: one contiguous instruction array, pre-resolved
+///    branch/call targets, a folded cost table, dense monitor/region side
+///    tables, and a ThreadedOp view in which build-time passes fused hot
+///    opcode pairs and straight-line runs into superinstructions. Frames
 ///    shrink to {ReturnPc, RegBase} over one shared register stack.
 ///  * Tree — the original tree-walking engine chasing
 ///    Program→Function→Block→Instruction pointers. Retained as the
@@ -67,10 +65,9 @@ class PowerSource;
 class TraceSink;
 struct PcProfile;
 
-/// Which dispatch loop executes the program. All engines implement the
-/// same semantics; Flat and Threaded are strictly accelerations.
+/// Which dispatch loop executes the program. Both engines implement the
+/// same semantics; Threaded is strictly an acceleration.
 enum class DispatchEngine {
-  Flat,     ///< PC-indexed dispatch over the ExecutableImage.
   Tree,     ///< Original pointer-chasing walk of the Program (reference).
   Threaded, ///< Computed-goto dispatch with superinstructions (default).
 };
@@ -107,7 +104,7 @@ struct RunConfig {
   /// every committed output against the reboot epochs of the inputs fused
   /// into it, independent of the monitors' enforcement. Implies
   /// TrackTaint; verdicts land in RunResult::OracleRecords and are
-  /// byte-identical across all three engines.
+  /// byte-identical across both engines.
   bool Oracle = false;
   bool StaticOmega = false;   ///< Back up omega at region entry instead of
                               ///< first-write logging.
@@ -130,7 +127,7 @@ struct RunConfig {
   /// non-Hot loop); results are bitwise identical either way.
   TraceSink *Telemetry = nullptr;
   /// Optional per-PC / per-opcode-pair execution profile
-  /// (src/telemetry/Profile.h), filled by the flat and threaded engines.
+  /// (src/telemetry/Profile.h), filled by the threaded engine.
   /// Callers size it via PcProfile::prepare(image size, NumOpcodes). Same
   /// cost discipline as Telemetry; results are unaffected.
   PcProfile *Profile = nullptr;
@@ -217,8 +214,8 @@ private:
     uint32_t CallSiteLabel = 0; ///< Label of the call in the caller.
   };
 
-  // -- Flat engine (PC-indexed dispatch) ---------------------------------
-  /// A call frame under flat dispatch: where to resume in the caller and
+  // -- Threaded engine (PC-indexed dispatch over the flat image) ---------
+  /// A call frame under PC-indexed dispatch: where to resume in the caller and
   /// where this frame's registers start on the shared register stack.
   /// Everything else (function id, call-site label, return destination) is
   /// recomputed from the image: the call instruction sits at ReturnPc - 1.
@@ -226,7 +223,7 @@ private:
     uint32_t ReturnPc = 0;
     uint32_t RegBase = 0;
   };
-  /// Region-entry snapshot of the flat engine's volatile state.
+  /// Region-entry snapshot of the threaded engine's volatile state.
   struct FlatSnapshot {
     std::vector<FlatFrame> Frames;
     std::vector<RtValue> Regs;
@@ -236,27 +233,27 @@ private:
   enum class Mode { Jit, Atomic };
 
   RunResult runOnceTree();
-  RunResult runOnceFlat();
   RunResult runOnceThreaded();
-  /// The flat dispatch loop, specialized on taint tracking: the taint-off
-  /// instantiation (the default hot path) moves raw int64 payloads with no
-  /// RtValue temporaries — legal because with TrackTaint off every taint
-  /// vector in registers and NVM is empty by construction.
-  template <bool TaintOn> RunResult runFlatLoop();
   /// The threaded dispatch loop (InterpreterThreaded.cpp): computed-goto
-  /// (or switch-fallback) dispatch over the image's ThreadedOp view. Only
-  /// ever instantiated taint-off — runOnceThreaded routes taint-tracking
-  /// configs to runFlatLoop<true>, where dispatch cost is noise next to
-  /// taint propagation. The Hot instantiation additionally assumes no
-  /// failure plan, no energy model and no monitors (the steady-state
-  /// throughput configuration), dropping the per-step failure/energy/
-  /// monitor checks that the non-Hot instantiation performs exactly like
-  /// the flat loop.
-  template <bool Hot> RunResult runThreadedLoop();
+  /// (or switch-fallback) dispatch over the image's ThreadedOp view, in
+  /// three instantiations (Hot and Taint are never both set):
+  ///
+  ///  * Hot — no failure plan, no energy model, no monitors, no observers
+  ///    (the steady-state throughput configuration): drops the per-step
+  ///    failure/energy/monitor checks.
+  ///  * neither (Observed) — performs every per-step check.
+  ///  * Taint — Observed plus taint propagation (TrackTaint, which the
+  ///    formal monitor and the oracle force on). Dispatches each slot on
+  ///    its plain opcode, never a fused code, so only the plain handlers
+  ///    run with taint, and they alone carry the taint arms.
+  ///
+  /// The taint-off instantiations move raw int64 payloads with no RtValue
+  /// temporaries — legal because with TrackTaint off every taint vector in
+  /// registers and NVM is empty by construction.
+  template <bool Hot, bool Taint> RunResult runThreadedLoop();
 
   const Instruction *fetch() const;
-  RtValue eval(Operand O) const;     ///< Tree engine operand read.
-  RtValue evalFlat(Operand O) const; ///< Flat engine operand read.
+  RtValue eval(Operand O) const; ///< Tree engine operand read.
   /// Both engines: a kind-less operand reaching eval is a lowering bug —
   /// assert in debug; in release the step loop turns it into a trap
   /// instead of silently yielding 0.
@@ -271,10 +268,6 @@ private:
   void enterAtomicFlat(const FlatInst &I, RunResult &R);
   void commitAtomic(RunResult &R);
   void writeGlobal(int G, int64_t Index, RtValue V, RunResult &R);
-  /// Taint-off fast path: identical to writeGlobal for a taint-free value
-  /// (same undo-log sequence and cost charging) without materializing an
-  /// RtValue.
-  void writeGlobalRaw(int G, int64_t Index, int64_t V, RunResult &R);
   ProvChain currentChain(uint32_t FinalLabel) const;
   ProvChain currentChainFlat(int Func, uint32_t FinalLabel) const;
   const RegionInfo *regionInfo(int RegionId) const;
@@ -318,7 +311,7 @@ private:
   // Volatile execution state (tree engine).
   std::vector<Frame> Frames;
   std::vector<Frame> AtomicSnapshot;
-  // Volatile execution state (flat engine).
+  // Volatile execution state (threaded engine).
   std::vector<FlatFrame> FFrames;
   std::vector<RtValue> RegStack;
   uint32_t Pc = 0;
@@ -330,8 +323,8 @@ private:
   int Natom = 0;
   int CurrentRegion = -1;
   uint64_t AbortsThisRegion = 0;
-  /// Set by eval/evalFlat on a kind-less operand (release builds); the
-  /// step loops convert it into a structured trap.
+  /// Set by the engines' operand reads on a kind-less operand (release
+  /// builds); the step loops convert it into a structured trap.
   mutable bool SawKindlessOperand = false;
 
   // Trace buffering: committed vs pending (inside an open region).

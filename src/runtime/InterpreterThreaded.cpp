@@ -11,14 +11,19 @@
 /// build-time peephole pass fused hot adjacent opcode pairs into
 /// superinstructions and the superblock pass fused straight-line runs of
 /// 3-6 instructions into variable-length chains
-/// (ExecutableImage::buildThreadedView).
+/// (ExecutableImage::buildThreadedView). It is the only PC-indexed loop:
+/// fetch is one indexed load from the image's contiguous code array, cycle
+/// costs come from a PC-indexed table, branch/call targets are
+/// pre-resolved absolute PCs, and the monitor/region side tables replace
+/// the per-step map lookups and linear scans of the tree engine
+/// (Interpreter.cpp).
 ///
-/// Like the flat engine it accelerates, every rule here must mirror the
-/// tree engine exactly — same cost charging, same RNG draw sequence, same
-/// monitor callbacks, same trap strings — so the three engines stay
-/// bitwise-identical on every benchmark x model x plan x seed cell
-/// (pinned by ExecImageTest and DifferentialFuzzTest). Three properties
-/// carry that guarantee through fusion:
+/// Every rule here must mirror the tree engine exactly — same cost
+/// charging, same RNG draw sequence, same monitor callbacks, same trap
+/// strings — so the two engines stay bitwise-identical on every
+/// benchmark x model x plan x seed cell (pinned by ExecImageTest and
+/// DifferentialFuzzTest). Three properties carry that guarantee through
+/// fusion:
 ///
 ///  * A fused handler replicates the complete per-instruction step
 ///    header (failure injection, energy draw, cost/tau charging, monitor
@@ -42,12 +47,17 @@
 /// reads only — which is exactly what makes mid-chain resume sound: the
 /// architectural state a reboot sees is always complete.
 ///
-/// The loop is only ever instantiated taint-off; runOnceThreaded routes
-/// taint-tracking configs to the flat loop's taint instantiation, where
-/// dispatch cost is noise next to taint propagation. The Hot
-/// instantiation additionally assumes no failure plan, no energy model
-/// and no monitors — the steady-state throughput configuration — and
-/// keeps PC/tau/lifetime counters in locals the whole run.
+/// The loop has three instantiations. Hot assumes no failure plan, no
+/// energy model, no monitors and no observers — the steady-state
+/// throughput configuration — and keeps PC/tau/lifetime counters in
+/// locals the whole run. Observed performs the per-step failure, energy
+/// and monitor checks. Taint (TrackTaint: the formal monitor and the
+/// input-epoch oracle) is Observed plus taint propagation: it dispatches
+/// every slot on its plain opcode rather than its ThreadedOp, so only the
+/// plain handlers ever run with taint on, and they carry the taint arms.
+/// Fused and chained handlers move raw int64 payloads only — legal
+/// because with TrackTaint off every taint vector in registers and NVM is
+/// empty by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +72,20 @@ using namespace ocelot;
 
 namespace {
 
-/// Exactly the flat engine's Bin arithmetic. Returns false on division
+/// Exactly the tree engine's Un arithmetic.
+inline int64_t unEval(UnOp K, int64_t AV) {
+  switch (K) {
+  case UnOp::Neg:
+    return -AV;
+  case UnOp::Not:
+    return ~AV;
+  case UnOp::LNot:
+    return AV == 0 ? 1 : 0;
+  }
+  return 0; // Unreachable; silences -Wreturn-type.
+}
+
+/// Exactly the tree engine's Bin arithmetic. Returns false on division
 /// or modulo by zero; the caller raises the trap with its own site.
 inline bool binEval(BinOp K, int64_t AV, int64_t BV, int64_t &V) {
   switch (K) {
@@ -131,18 +154,19 @@ inline bool binEval(BinOp K, int64_t AV, int64_t BV, int64_t &V) {
 } // namespace
 
 RunResult Interpreter::runOnceThreaded() {
-  // Taint tracking (the formal monitor forces it on) runs the flat
-  // loop's taint instantiation: identical machine behavior, and taint
-  // propagation dwarfs dispatch cost anyway.
+  // TrackTaint is fixed at construction (MonitorFormal and Oracle force it
+  // on), so each interpreter always runs one instantiation.
   if (Cfg.TrackTaint)
-    return runFlatLoop<true>();
+    return runThreadedLoop</*Hot=*/false, /*Taint=*/true>();
   const bool Hot = Cfg.Plan.kind() == FailurePlan::Kind::None &&
                    Energy == nullptr && !Cfg.MonitorBitVector &&
                    !Cfg.MonitorFormal && !Cfg.Telemetry && !Cfg.Profile;
-  return Hot ? runThreadedLoop<true>() : runThreadedLoop<false>();
+  return Hot ? runThreadedLoop</*Hot=*/true, /*Taint=*/false>()
+             : runThreadedLoop</*Hot=*/false, /*Taint=*/false>();
 }
 
-template <bool Hot> RunResult Interpreter::runThreadedLoop() {
+template <bool Hot, bool Taint> RunResult Interpreter::runThreadedLoop() {
+  static_assert(!(Hot && Taint), "taint tracking runs the observed loop");
   RunResult R;
   Cfg.Plan.resetRun();
   Monitor->beginRun();
@@ -157,6 +181,10 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   Undo.clear();
   PendingInputs.clear();
   PendingOutputs.clear();
+  if constexpr (Taint) {
+    PendingOracle.clear();
+    CommittedOracle.clear();
+  }
   Committed.clear();
   AbortsThisRegion = 0;
   CurrentRegion = -1;
@@ -166,10 +194,12 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   const ThreadedOp *const TOps = Img->threadedOps().data();
   const uint64_t *const Costs = CostTable;
   assert(Img->threadedOps().size() == Img->code().size());
-  assert(!Cfg.TrackTaint && "threaded loop is the taint-free fast path");
+  assert(Taint == Cfg.TrackTaint && "taint instantiation iff TrackTaint");
 
-  // Per-run constants, hoisted exactly like the flat loop's; the Hot
-  // instantiation drops the checks they guard entirely (asserted below).
+  // Per-run constants, hoisted out of the loop. Skipping a call is legal
+  // only when it neither returns true nor mutates state (RNG draws,
+  // periodic-plan re-arming, energy consumption); the Hot instantiation
+  // drops the checks they guard entirely (asserted below).
   [[maybe_unused]] const FailurePlan::Kind PlanKind = Cfg.Plan.kind();
   [[maybe_unused]] const bool PlanMayFireBefore =
       PlanKind == FailurePlan::Kind::Pathological ||
@@ -177,6 +207,8 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   [[maybe_unused]] const bool NeedEnergyCheck =
       Energy != nullptr || PlanKind == FailurePlan::Kind::Periodic;
   const bool BitVector = Cfg.MonitorBitVector;
+  [[maybe_unused]] const bool Formal = Cfg.MonitorFormal;
+  assert((Taint || !Formal) && "MonitorFormal implies TrackTaint");
   // Telemetry/profiling observers: the Hot instantiation excludes them
   // (runOnceThreaded routes observed runs here as non-Hot), so the Hot
   // fast path carries not even the null tests.
@@ -255,7 +287,8 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
     Regs = RegStack.data() + RegBase;
   };
 
-  // Raw operand payload — mirrors the flat loop's taint-off RawVal.
+  // Raw operand payload: what every taint-free read needs (and, with
+  // taint on, what index, condition and discarded reads need).
   auto RawVal = [&](const Operand &O) -> int64_t {
     if (O.isImm())
       return O.Imm;
@@ -263,9 +296,21 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       return Regs[O.Reg].V;
     return evalKindless().V;
   };
+  // Full operand value, taint included: the Taint instantiation's reads of
+  // every value that flows on into a register, NVM, an output or a marker.
+  [[maybe_unused]] auto Val = [&](const Operand &O) -> RtValue {
+    if (O.isImm())
+      return RtValue(O.Imm);
+    if (O.isReg())
+      return Regs[O.Reg];
+    return evalKindless();
+  };
 
-  // writeGlobalRaw with the tau/lifetime charges applied to the locals.
-  auto StoreNvmRaw = [&](int G, int64_t Index, int64_t V) {
+  // The NVM store rule (Interpreter::writeGlobal) with the undo-log
+  // charges applied to the locals: the first write of a cell inside an
+  // open region logs its old value. StoreNvmRaw moves the payload only —
+  // with taint off every taint vector is empty, so that is the whole state.
+  auto LogUndo = [&](int G, int64_t Index) {
     assert(Index >= 0 && Index < static_cast<int64_t>(Img->globalSize(G)));
     if (ExecMode == Mode::Atomic) {
       if (Undo.logIfFirst(G, Index, nvmCell(G, Index))) {
@@ -277,7 +322,14 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
         }
       }
     }
+  };
+  auto StoreNvmRaw = [&](int G, int64_t Index, int64_t V) {
+    LogUndo(G, Index);
     nvmCell(G, Index).V = V;
+  };
+  [[maybe_unused]] auto StoreNvm = [&](int G, int64_t Index, RtValue V) {
+    LogUndo(G, Index);
+    nvmCell(G, Index) = std::move(V);
   };
 
   auto DivZeroTrap = [&](const FlatInst &I) {
@@ -293,19 +345,29 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
 // offset plus the counter; the non-Hot loop keeps Tau itself live.
 #define OCELOT_TAU() (Hot ? TauMinusOn + OnCycles : Tau)
 
-// One instruction's step header, identical to one flat-loop iteration
-// header: budget check, failure injection, energy draw, cost/tau/step
-// accounting, bit-vector use check, PC advance. Fused handlers invoke it
-// a second time for their tail slot, so a power failure can still strike
-// between the two halves (resuming at the tail's plain code).
-#define OCELOT_STEP()                                                          \
+// One instruction's step header: budget check, failure injection, energy
+// draw, cost/tau/step accounting, profiling, the bit-vector and formal
+// use checks, PC advance. Fused handlers invoke it again for each later
+// slot, so a power failure can still strike between any two slots
+// (resuming at the interrupted slot's plain code). LOAD_OP says whether
+// it also loads the slot's dispatch code: a chain handler already knows
+// what each slot executes, so its slots skip the load (the code is only
+// needed again when the chain ends and control re-dispatches). The Taint
+// instantiation dispatches on the plain opcode, never a fused code, so
+// only the plain handlers — the ones with taint arms — run with taint.
+#define OCELOT_STEP_(LOAD_OP)                                                  \
   do {                                                                         \
     if (OnCycles > MaxOnCycles) {                                              \
       R.Trap = "on-cycle budget exceeded";                                     \
       goto LDone;                                                              \
     }                                                                          \
     FI = Code + Pc;                                                            \
-    TOp = TOps[Pc];                                                            \
+    if (LOAD_OP) {                                                             \
+      if constexpr (Taint)                                                     \
+        TOp = static_cast<ThreadedOp>(FI->Op);                                 \
+      else                                                                     \
+        TOp = TOps[Pc];                                                        \
+    }                                                                          \
     if constexpr (!Hot) {                                                      \
       if (PlanMayFireBefore &&                                                 \
           Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {         \
@@ -349,73 +411,23 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
       if (BitVector && FI->HasUseCheck)                                        \
         Monitor->onFreshUse(InstrRef(FI->Func, FI->Label), Tau);               \
     }                                                                          \
-    ++Pc; /* Advance before executing (branches overwrite). */                 \
-  } while (0)
-
-// One chain slot's step header: OCELOT_STEP minus the dispatch-code load
-// (a chain handler already knows what each slot executes; the TOps entry
-// is only needed again when the chain ends and control re-dispatches).
-// Keeping the full failure/energy/monitor ladder per slot is what lets a
-// power failure strike between any two chain slots and resume at the
-// interrupted PC's plain code.
-#define OCELOT_CHAIN_STEP()                                                    \
-  do {                                                                         \
-    if (OnCycles > MaxOnCycles) {                                              \
-      R.Trap = "on-cycle budget exceeded";                                     \
-      goto LDone;                                                              \
-    }                                                                          \
-    FI = Code + Pc;                                                            \
-    if constexpr (!Hot) {                                                      \
-      if (PlanMayFireBefore &&                                                 \
-          Cfg.Plan.firesBefore(InstrRef(FI->Func, FI->Label), Rand)) {         \
-        SyncOut();                                                             \
-        powerFailFlat(R);                                                      \
-        SyncIn();                                                              \
-        goto LTop;                                                             \
+    if constexpr (Taint) {                                                     \
+      if (Formal && FI->UseRegsCount) {                                        \
+        const int32_t *UseRegs = Img->useRegs(*FI);                            \
+        for (uint16_t RI = 0; RI < FI->UseRegsCount; ++RI)                     \
+          Monitor->onFreshUseFormal(InstrRef(FI->Func, FI->Label),             \
+                                    Regs[UseRegs[RI]].Taint, Epoch, Tau);      \
       }                                                                        \
-    }                                                                          \
-    Cost = Costs[Pc];                                                          \
-    if constexpr (!Hot) {                                                      \
-      if (NeedEnergyCheck) {                                                   \
-        this->LifetimeOn = LifetimeOn; /* periodic plans arm against it */     \
-        if (checkEnergyAndPlan(Cost)) {                                        \
-          ++ConsecutiveFailures;                                               \
-          if (ConsecutiveFailures > Cfg.MaxAbortsPerRegion) {                  \
-            R.Starved = true;                                                  \
-            goto LDone;                                                        \
-          }                                                                    \
-          SyncOut();                                                           \
-          powerFailFlat(R);                                                    \
-          SyncIn();                                                            \
-          goto LTop;                                                           \
-        }                                                                      \
-      }                                                                        \
-      ConsecutiveFailures = 0;                                                 \
-    }                                                                          \
-    OnCycles += Cost;                                                          \
-    if constexpr (!Hot) {                                                      \
-      LifetimeOn += Cost;                                                      \
-      Tau += Cost;                                                             \
-    }                                                                          \
-    ++Steps;                                                                   \
-    if constexpr (!Hot) {                                                      \
-      if (Prof) {                                                              \
-        Prof->step(Pc, static_cast<uint16_t>(FI->Op), ProfPrevPc,              \
-                   ProfPrevOp);                                                \
-        ProfPrevPc = Pc;                                                       \
-        ProfPrevOp = static_cast<uint16_t>(FI->Op);                            \
-      }                                                                        \
-      if (BitVector && FI->HasUseCheck)                                        \
-        Monitor->onFreshUse(InstrRef(FI->Func, FI->Label), Tau);               \
     }                                                                          \
     ++Pc; /* Advance before executing (branches overwrite). */                 \
   } while (0)
+#define OCELOT_STEP() OCELOT_STEP_(true)
 
-// The flat loop's post-instruction kind-less-operand conversion, with the
-// site of \p INST (the instruction whose handler just ran). When the flag
-// fired the run is over (the flat loop's next top-of-iteration check
-// would exit), so this jumps straight to the epilogue — which lets the
-// handler enders below skip the per-step trap re-check entirely.
+// The post-instruction kind-less-operand conversion, with the site of
+// \p INST (the instruction whose handler just ran). A trap ends the run
+// (the loop-head check at LTop would exit), so this jumps straight to the
+// epilogue — which lets the handler enders below skip the per-step trap
+// re-check entirely.
 #define OCELOT_KINDCHECK(INST)                                                 \
   if (SawKindlessOperand) {                                                    \
     SawKindlessOperand = false;                                                \
@@ -426,10 +438,10 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
     goto LDone;                                                                \
   }
 
-// Ends a handler that just raised a trap. The flat loop sets the trap,
-// runs the kind-less conversion (which must still clear the flag, and
-// keeps the first trap), then exits at the next loop check — so: clear
-// the flag, keep the trap, stop.
+// Ends a handler that just raised a trap. The reference semantics set
+// the trap, run the kind-less conversion (which must still clear the
+// flag, and keeps the first trap), then exit at the next loop check — so:
+// clear the flag, keep the trap, stop.
 #define OCELOT_TRAPPED(INST)                                                   \
   do {                                                                         \
     OCELOT_KINDCHECK(INST)                                                     \
@@ -437,7 +449,7 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
   } while (0)
 
 // Handler enders. OCELOT_NEXT for handlers that may have read a kind-less
-// operand (any RawVal call); NOCHECK for handlers that provably cannot
+// operand (any RawVal/Val call); NOCHECK for handlers that provably cannot
 // have set the flag.
 //
 // Both *replicate* the step header + dispatch instead of jumping back to
@@ -446,7 +458,12 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
 // successor distributions (the classic threaded-dispatch win; a shared
 // dispatch site collapses them all into one unpredictable branch).
 //
-// Neither re-checks the flat loop's exit condition — every path that can
+// Computed goto leaves a scope without running its destructors, so no
+// object that owns memory (an RtValue, an event) may be live where a
+// handler dispatches: handlers that build one scope it to a block that
+// closes before OCELOT_NEXT.
+//
+// Neither re-checks the LTop exit condition — every path that can
 // make it true leaves the fast path on the spot: traps jump to LDone
 // (budget and kind-less in the macros above, explicit ones via
 // OCELOT_TRAPPED), Ret checks frame emptiness itself, and starvation and
@@ -494,6 +511,16 @@ template <bool Hot> RunResult Interpreter::runThreadedLoop() {
 #define OCELOT_DISPATCH() goto LSwitch
 #endif
 
+// A pair or chain handler. The Taint instantiation dispatches plain
+// opcodes only and never reaches one, so there the body is a discarded
+// statement (not even compiled) behind a defensive stop.
+#define OCELOT_FUSED_CASE(name)                                                \
+  OCELOT_CASE(name) : if constexpr (Taint) {                                   \
+    assert(false && "the taint loop dispatches plain opcodes only");           \
+    goto LDone;                                                                \
+  }                                                                            \
+  else
+
   goto LTop;
 
 LTop:
@@ -508,53 +535,70 @@ LSwitch:
 #endif
 
   OCELOT_CASE(Const) : {
-    Regs[FI->Dst].V = FI->A.Imm;
+    if constexpr (Taint)
+      Regs[FI->Dst] = RtValue(FI->A.Imm);
+    else
+      Regs[FI->Dst].V = FI->A.Imm;
     OCELOT_NEXT_NOCHECK();
   }
 
   OCELOT_CASE(Mov) : {
-    Regs[FI->Dst].V = RawVal(FI->A);
+    if constexpr (Taint)
+      Regs[FI->Dst] = Val(FI->A);
+    else
+      Regs[FI->Dst].V = RawVal(FI->A);
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(Un) : {
-    const int64_t AV = RawVal(FI->A);
-    int64_t V = 0;
-    switch (FI->UnKind) {
-    case UnOp::Neg:
-      V = -AV;
-      break;
-    case UnOp::Not:
-      V = ~AV;
-      break;
-    case UnOp::LNot:
-      V = AV == 0 ? 1 : 0;
-      break;
+    if constexpr (Taint) {
+      RtValue A = Val(FI->A); // The result inherits the operand's taint.
+      A.V = unEval(FI->UnKind, A.V);
+      Regs[FI->Dst] = std::move(A);
+    } else {
+      Regs[FI->Dst].V = unEval(FI->UnKind, RawVal(FI->A));
     }
-    Regs[FI->Dst].V = V;
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(Bin) : {
-    const int64_t AV = RawVal(FI->A);
-    const int64_t BV = RawVal(FI->B);
-    int64_t V = 0;
-    if (!binEval(FI->BinKind, AV, BV, V)) {
-      DivZeroTrap(*FI);
-      OCELOT_TRAPPED(*FI);
+    if constexpr (Taint) {
+      RtValue A = Val(FI->A);
+      RtValue B = Val(FI->B);
+      int64_t V = 0;
+      if (!binEval(FI->BinKind, A.V, B.V, V)) {
+        DivZeroTrap(*FI);
+        OCELOT_TRAPPED(*FI);
+      }
+      A.V = V; // The result carries the union of both operands' taint.
+      A.mergeTaint(B);
+      Regs[FI->Dst] = std::move(A);
+    } else {
+      const int64_t AV = RawVal(FI->A);
+      const int64_t BV = RawVal(FI->B);
+      int64_t V = 0;
+      if (!binEval(FI->BinKind, AV, BV, V)) {
+        DivZeroTrap(*FI);
+        OCELOT_TRAPPED(*FI);
+      }
+      Regs[FI->Dst].V = V;
     }
-    Regs[FI->Dst].V = V;
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(LoadG) : {
-    Regs[FI->Dst].V =
-        nvmCell(FI->GlobalId, 0).V;
+    if constexpr (Taint)
+      Regs[FI->Dst] = nvmCell(FI->GlobalId, 0);
+    else
+      Regs[FI->Dst].V = nvmCell(FI->GlobalId, 0).V;
     OCELOT_NEXT_NOCHECK();
   }
 
   OCELOT_CASE(StoreG) : {
-    StoreNvmRaw(FI->GlobalId, 0, RawVal(FI->A));
+    if constexpr (Taint)
+      StoreNvm(FI->GlobalId, 0, Val(FI->A));
+    else
+      StoreNvmRaw(FI->GlobalId, 0, RawVal(FI->A));
     OCELOT_NEXT(*FI);
   }
 
@@ -565,8 +609,10 @@ LSwitch:
       BoundsTrap(*FI);
       OCELOT_TRAPPED(*FI);
     }
-    Regs[FI->Dst].V =
-        nvmCell(FI->GlobalId, Idx).V;
+    if constexpr (Taint)
+      Regs[FI->Dst] = nvmCell(FI->GlobalId, Idx);
+    else
+      Regs[FI->Dst].V = nvmCell(FI->GlobalId, Idx).V;
     OCELOT_NEXT(*FI);
   }
 
@@ -577,31 +623,39 @@ LSwitch:
       BoundsTrap(*FI);
       OCELOT_TRAPPED(*FI);
     }
-    StoreNvmRaw(FI->GlobalId, Idx, RawVal(FI->B));
+    if constexpr (Taint)
+      StoreNvm(FI->GlobalId, Idx, Val(FI->B));
+    else
+      StoreNvmRaw(FI->GlobalId, Idx, RawVal(FI->B));
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(LoadInd) : {
     const int64_t G = RawVal(FI->A);
     assert(G >= 0 && G < P.numGlobals() && "bad reference value");
-    Regs[FI->Dst].V =
-        nvmCell(static_cast<int>(G), 0).V;
+    if constexpr (Taint)
+      Regs[FI->Dst] = nvmCell(static_cast<int>(G), 0);
+    else
+      Regs[FI->Dst].V = nvmCell(static_cast<int>(G), 0).V;
     OCELOT_NEXT(*FI);
   }
 
   OCELOT_CASE(StoreInd) : {
     const int64_t G = RawVal(FI->A);
     assert(G >= 0 && G < P.numGlobals() && "bad reference value");
-    StoreNvmRaw(static_cast<int>(G), 0, RawVal(FI->B));
+    if constexpr (Taint)
+      StoreNvm(static_cast<int>(G), 0, Val(FI->B));
+    else
+      StoreNvmRaw(static_cast<int>(G), 0, RawVal(FI->B));
     OCELOT_NEXT(*FI);
   }
 
-// The complete Input instruction body (replay-or-sample, register write,
-// observer callbacks, trace event), shared by the plain handler and the
-// Input-fused pairs below. Leaves the sampled value in \p RESULT_, a
-// declared int64_t local; traps exit via goto LDone like every handler.
-// The trace event is only materialized under RecordTrace — it was never
-// observable otherwise.
+// The complete Input instruction body (replay-or-sample, register write
+// with the input's taint under Taint, observer callbacks, trace event),
+// shared by the plain handler and the Input-fused pairs below. Leaves the
+// sampled value in \p RESULT_, a declared int64_t local; traps exit via
+// goto LDone like every handler. The trace event is only materialized
+// under RecordTrace — it was never observable otherwise.
 #define OCELOT_INPUT_BODY(RESULT_)                                             \
   do {                                                                         \
     if (Replay) {                                                              \
@@ -618,7 +672,16 @@ LSwitch:
     } else {                                                                   \
       RESULT_ = Sensors->sample(FI->SensorId, OCELOT_TAU());                   \
     }                                                                          \
-    Regs[FI->Dst].V = RESULT_;                                                 \
+    if constexpr (Taint) {                                                     \
+      RtValue Out(RESULT_);                                                    \
+      Out.Taint.push_back(InputEvent{.Sensor = FI->SensorId,                   \
+                                     .Tau = Tau,                               \
+                                     .Epoch = Epoch,                           \
+                                     .Value = RESULT_});                       \
+      Regs[FI->Dst] = std::move(Out);                                          \
+    } else {                                                                   \
+      Regs[FI->Dst].V = RESULT_;                                               \
+    }                                                                          \
     if constexpr (!Hot) {                                                      \
       if (Telem)                                                               \
         Telem->sensorRead(Tau, FI->SensorId, RESULT_);                         \
@@ -653,8 +716,12 @@ LSwitch:
     RegStack.resize(NewBase + FI->CalleeNumRegs);
     Regs = RegStack.data() + RegBase; // resize may have moved the stack
     const Operand *Args = Img->args(*FI);
-    for (uint32_t A = 0; A < FI->ArgsCount; ++A)
-      RegStack[NewBase + A].V = RawVal(Args[A]);
+    for (uint32_t A = 0; A < FI->ArgsCount; ++A) {
+      if constexpr (Taint)
+        RegStack[NewBase + A] = Val(Args[A]);
+      else
+        RegStack[NewBase + A].V = RawVal(Args[A]);
+    }
     FFrames.push_back(FlatFrame{/*ReturnPc=*/Pc, /*RegBase=*/NewBase});
     RegBase = NewBase;
     Regs = RegStack.data() + NewBase;
@@ -663,17 +730,28 @@ LSwitch:
   }
 
   OCELOT_CASE(Ret) : {
-    const FlatFrame F = FFrames.back();
-    const int64_t V = FI->A.isNone() ? 0 : RawVal(FI->A);
-    FFrames.pop_back();
-    RegStack.resize(F.RegBase);
-    if (!FFrames.empty()) {
-      Pc = F.ReturnPc;
-      RegBase = FFrames.back().RegBase;
-      Regs = RegStack.data() + RegBase; // back to the caller's window
-      const FlatInst &CallI = Code[F.ReturnPc - 1];
-      if (CallI.Dst >= 0 && !FI->A.isNone())
-        Regs[CallI.Dst].V = V;
+    { // Scoped: the taint-carrying value dies before the dispatch.
+      const FlatFrame F = FFrames.back();
+      auto V = [&] {
+        if constexpr (Taint)
+          return FI->A.isNone() ? RtValue(0) : Val(FI->A);
+        else
+          return FI->A.isNone() ? int64_t(0) : RawVal(FI->A);
+      }();
+      FFrames.pop_back();
+      RegStack.resize(F.RegBase);
+      if (!FFrames.empty()) {
+        Pc = F.ReturnPc;
+        RegBase = FFrames.back().RegBase;
+        Regs = RegStack.data() + RegBase; // back to the caller's window
+        const FlatInst &CallI = Code[F.ReturnPc - 1];
+        if (CallI.Dst >= 0 && !FI->A.isNone()) {
+          if constexpr (Taint)
+            Regs[CallI.Dst] = std::move(V);
+          else
+            Regs[CallI.Dst].V = V;
+        }
+      }
     }
     OCELOT_KINDCHECK(*FI)
     if (FFrames.empty())
@@ -697,7 +775,14 @@ LSwitch:
   }
 
   OCELOT_CASE(Consistent) : {
-    OCELOT_NEXT_NOCHECK(); // Formal-monitor marker: taint-on only.
+    // Formal-monitor marker: a no-op unless taint feeds the formal check.
+    if constexpr (Taint) {
+      if (Formal)
+        Monitor->onConsistentMarker(FI->SetId, FI->Label, Val(FI->A).Taint,
+                                    Epoch, Tau);
+      OCELOT_KINDCHECK(*FI)
+    }
+    OCELOT_NEXT_NOCHECK();
   }
 
   OCELOT_CASE(AtomicStart) : {
@@ -716,23 +801,44 @@ LSwitch:
 
   OCELOT_CASE(Output) : {
     const Operand *Args = Img->args(*FI);
-    if (!Cfg.RecordTrace) {
+    // The oracle needs taint, which only the Taint instantiation carries
+    // (RunConfig::Oracle implies TrackTaint).
+    const bool OracleOn = Taint && Cfg.Oracle;
+    if (!Cfg.RecordTrace && !OracleOn) {
       // Args are still evaluated (same trap conversion for kind-less
       // operands), but the event is never materialized.
       for (uint32_t A = 0; A < FI->ArgsCount; ++A)
         (void)RawVal(Args[A]);
       OCELOT_NEXT(*FI);
     }
-    OutputEvent E;
-    E.Kind = FI->OutKind;
-    E.Tau = OCELOT_TAU();
-    E.Args.reserve(FI->ArgsCount);
-    for (uint32_t A = 0; A < FI->ArgsCount; ++A)
-      E.Args.push_back(RawVal(Args[A]));
-    if (ExecMode == Mode::Atomic)
-      PendingOutputs.push_back(E);
-    else
-      Committed.Outputs.push_back(std::move(E));
+    { // Scoped: the event dies before the dispatch.
+      OutputEvent E;
+      E.Kind = FI->OutKind;
+      E.Tau = OCELOT_TAU();
+      E.Args.reserve(FI->ArgsCount);
+      if constexpr (Taint) {
+        std::vector<InputEvent> Fused;
+        for (uint32_t A = 0; A < FI->ArgsCount; ++A) {
+          const RtValue V = Val(Args[A]);
+          E.Args.push_back(V.V);
+          if (OracleOn)
+            Fused.insert(Fused.end(), V.Taint.begin(), V.Taint.end());
+        }
+        if (OracleOn) {
+          SyncOut(); // The oracle record and its telemetry read member tau.
+          recordOracleOutput(E.Kind, std::move(Fused));
+        }
+      } else {
+        for (uint32_t A = 0; A < FI->ArgsCount; ++A)
+          E.Args.push_back(RawVal(Args[A]));
+      }
+      if (Cfg.RecordTrace) {
+        if (ExecMode == Mode::Atomic)
+          PendingOutputs.push_back(std::move(E));
+        else
+          Committed.Outputs.push_back(std::move(E));
+      }
+    }
     OCELOT_NEXT(*FI);
   }
 
@@ -745,7 +851,7 @@ LSwitch:
   // the tail (OCELOT_STEP), forwarding the head's result through a local
   // instead of re-reading the register file.
 
-  OCELOT_CASE(FuseBinCondBr) : {
+  OCELOT_FUSED_CASE(FuseBinCondBr) {
     const FlatInst &H = *FI;
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
@@ -761,7 +867,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseBinStoreG) : {
+  OCELOT_FUSED_CASE(FuseBinStoreG) {
     const FlatInst &H = *FI;
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
@@ -777,7 +883,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseBinStoreA) : {
+  OCELOT_FUSED_CASE(FuseBinStoreA) {
     const FlatInst &H = *FI;
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
@@ -799,7 +905,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseLoadGBin) : {
+  OCELOT_FUSED_CASE(FuseLoadGBin) {
     const FlatInst &H = *FI;
     const int64_t V0 = nvmCell(H.GlobalId, 0).V;
     Regs[H.Dst].V = V0;
@@ -814,7 +920,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseLoadABin) : {
+  OCELOT_FUSED_CASE(FuseLoadABin) {
     const FlatInst &H = *FI;
     const int64_t Idx = RawVal(H.A);
     if (Idx < 0 || Idx >= static_cast<int64_t>(Img->globalSize(H.GlobalId))) {
@@ -835,7 +941,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseConstStoreG) : {
+  OCELOT_FUSED_CASE(FuseConstStoreG) {
     const FlatInst &H = *FI;
     const int64_t V = H.A.Imm;
     Regs[H.Dst].V = V;
@@ -844,7 +950,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseLoadGStoreG) : {
+  OCELOT_FUSED_CASE(FuseLoadGStoreG) {
     const FlatInst &H = *FI;
     const int64_t V = nvmCell(H.GlobalId, 0).V;
     Regs[H.Dst].V = V;
@@ -853,7 +959,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseMovBin) : {
+  OCELOT_FUSED_CASE(FuseMovBin) {
     const FlatInst &H = *FI;
     const int64_t V0 = RawVal(H.A);
     Regs[H.Dst].V = V0;
@@ -869,7 +975,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseBinMov) : {
+  OCELOT_FUSED_CASE(FuseBinMov) {
     const FlatInst &H = *FI;
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
@@ -885,7 +991,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseMovBr) : {
+  OCELOT_FUSED_CASE(FuseMovBr) {
     const FlatInst &H = *FI;
     Regs[H.Dst].V = RawVal(H.A);
     OCELOT_KINDCHECK(H)
@@ -894,7 +1000,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseBinBin) : {
+  OCELOT_FUSED_CASE(FuseBinBin) {
     const FlatInst &H = *FI;
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
@@ -919,7 +1025,7 @@ LSwitch:
   // Dispatch-elision pairs: no forwarding condition, so the tail executes
   // the plain handler body against the (already updated) register file.
 
-  OCELOT_CASE(FuseMovLoadA) : {
+  OCELOT_FUSED_CASE(FuseMovLoadA) {
     const FlatInst &H = *FI;
     Regs[H.Dst].V = RawVal(H.A);
     OCELOT_KINDCHECK(H)
@@ -935,7 +1041,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseBinLoadA) : {
+  OCELOT_FUSED_CASE(FuseBinLoadA) {
     const FlatInst &H = *FI;
     const int64_t AV = RawVal(H.A);
     const int64_t BV = RawVal(H.B);
@@ -958,7 +1064,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseLoadALoadA) : {
+  OCELOT_FUSED_CASE(FuseLoadALoadA) {
     const FlatInst &H = *FI;
     const int64_t Idx0 = RawVal(H.A);
     if (Idx0 < 0 ||
@@ -981,7 +1087,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseMovConsistent) : {
+  OCELOT_FUSED_CASE(FuseMovConsistent) {
     const FlatInst &H = *FI;
     Regs[H.Dst].V = RawVal(H.A);
     OCELOT_KINDCHECK(H)
@@ -989,7 +1095,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseConsistentBin) : {
+  OCELOT_FUSED_CASE(FuseConsistentBin) {
     OCELOT_STEP(); // Head was a no-op Consistent marker; tail: a Bin.
     const int64_t AV = RawVal(FI->A);
     const int64_t BV = RawVal(FI->B);
@@ -1002,7 +1108,7 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseInputMov) : {
+  OCELOT_FUSED_CASE(FuseInputMov) {
     int64_t V;
     OCELOT_INPUT_BODY(V);
     OCELOT_STEP(); // Tail: a Mov copying the freshly sampled register.
@@ -1010,7 +1116,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseMovInput) : {
+  OCELOT_FUSED_CASE(FuseMovInput) {
     const FlatInst &H = *FI;
     Regs[H.Dst].V = RawVal(H.A);
     OCELOT_KINDCHECK(H)
@@ -1020,14 +1126,14 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseConsistentInput) : {
+  OCELOT_FUSED_CASE(FuseConsistentInput) {
     OCELOT_STEP(); // Head was a no-op Consistent marker; tail: an Input.
     int64_t V;
     OCELOT_INPUT_BODY(V);
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(FuseMovMov) : {
+  OCELOT_FUSED_CASE(FuseMovMov) {
     const FlatInst &H = *FI;
     Regs[H.Dst].V = RawVal(H.A);
     OCELOT_KINDCHECK(H)
@@ -1036,14 +1142,14 @@ LSwitch:
     OCELOT_NEXT(*FI);
   }
 
-  OCELOT_CASE(FuseFreshConsistent) : {
+  OCELOT_FUSED_CASE(FuseFreshConsistent) {
     OCELOT_STEP(); // Both slots are taint-off no-op markers.
     OCELOT_NEXT_NOCHECK();
   }
 
   // -- Superblock chains --------------------------------------------------
   // A ChainN head covers N straight-line slots under one dispatch. Each
-  // slot runs the full step header (OCELOT_CHAIN_STEP) then one arm of
+  // slot runs the full step header (OCELOT_STEP_) then one arm of
   // the slot executor below. The executor mirrors the plain handlers of
   // every chainable opcode exactly — same trap strings, same undo-log
   // charges, same kind-less conversion points — plus the in-chain
@@ -1116,19 +1222,7 @@ LSwitch:
     break;                                                                     \
   }                                                                            \
   case Opcode::Un: {                                                           \
-    const int64_t AV = OCELOT_CHAIN_VAL(FI->A);                                \
-    int64_t V = 0;                                                             \
-    switch (FI->UnKind) {                                                      \
-    case UnOp::Neg:                                                            \
-      V = -AV;                                                                 \
-      break;                                                                   \
-    case UnOp::Not:                                                            \
-      V = ~AV;                                                                 \
-      break;                                                                   \
-    case UnOp::LNot:                                                           \
-      V = AV == 0 ? 1 : 0;                                                     \
-      break;                                                                   \
-    }                                                                          \
+    const int64_t V = unEval(FI->UnKind, OCELOT_CHAIN_VAL(FI->A));             \
     Regs[FI->Dst].V = V;                    \
     CacheReg = FI->Dst;                                                        \
     CacheVal = V;                                                              \
@@ -1206,7 +1300,7 @@ LSwitch:
 // runs it, as does the Hot path when a chain might brush the budget.
 #define OCELOT_CHAIN_SLOT()                                                    \
   do {                                                                         \
-    OCELOT_CHAIN_STEP();                                                       \
+    OCELOT_STEP_(false);                                                       \
     OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)                        \
   } while (0)
 
@@ -1260,7 +1354,7 @@ LSwitch:
     OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)                        \
   } while (0)
 
-  OCELOT_CASE(Chain3) : {
+  OCELOT_FUSED_CASE(Chain3) {
     int32_t CacheReg = -1;
     int64_t CacheVal = 0;
     // Slot 0: stepped by the dispatching OCELOT_STEP.
@@ -1276,7 +1370,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(Chain4) : {
+  OCELOT_FUSED_CASE(Chain4) {
     int32_t CacheReg = -1;
     int64_t CacheVal = 0;
     OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
@@ -1293,7 +1387,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(Chain5) : {
+  OCELOT_FUSED_CASE(Chain5) {
     int32_t CacheReg = -1;
     int64_t CacheVal = 0;
     OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
@@ -1312,7 +1406,7 @@ LSwitch:
     OCELOT_NEXT_NOCHECK();
   }
 
-  OCELOT_CASE(Chain6) : {
+  OCELOT_FUSED_CASE(Chain6) {
     int32_t CacheReg = -1;
     int64_t CacheVal = 0;
     OCELOT_CHAIN_EXEC(OCELOT_TRAPPED, OCELOT_KINDCHECK)
@@ -1345,6 +1439,8 @@ LDone:
   R.TraceData = std::move(Committed);
   Committed.clear();
   R.FinalTau = OCELOT_TAU();
+  if constexpr (Taint)
+    finishOracle(R);
 
   R.ViolatedFresh = Monitor->runFreshViolation();
   R.ViolatedConsistent = Monitor->runConsistentViolation();
@@ -1355,7 +1451,7 @@ LDone:
 
 #undef OCELOT_TAU
 #undef OCELOT_STEP
-#undef OCELOT_CHAIN_STEP
+#undef OCELOT_STEP_
 #undef OCELOT_CHAIN_VAL
 #undef OCELOT_CHAIN_EXEC
 #undef OCELOT_CHAIN_SLOT
@@ -1371,8 +1467,10 @@ LDone:
 #undef OCELOT_NEXT
 #undef OCELOT_NEXT_NOCHECK
 #undef OCELOT_CASE
+#undef OCELOT_FUSED_CASE
 #undef OCELOT_DISPATCH
 }
 
-template RunResult Interpreter::runThreadedLoop<true>();
-template RunResult Interpreter::runThreadedLoop<false>();
+template RunResult Interpreter::runThreadedLoop<true, false>();
+template RunResult Interpreter::runThreadedLoop<false, false>();
+template RunResult Interpreter::runThreadedLoop<false, true>();

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Execution-frequency counters filled by the flat and threaded engines
-/// when `RunConfig::Profile` is set: how many times each image PC
-/// executed, and how often each *PC-adjacent* opcode pair (prev at PC,
-/// cur at PC+1) ran back to back. The pair histogram is measured over the
+/// Execution-frequency counters filled by the threaded engine when
+/// `RunConfig::Profile` is set: how many times each image PC executed,
+/// and how often each *PC-adjacent* opcode pair (prev at PC, cur at
+/// PC+1) ran back to back. The pair histogram is measured over the
 /// image's base opcodes — exactly the data the superinstruction fusion
 /// pass in ExecutableImage consumes — so `ocelotc --profile` can say
 /// which fusions the current pattern table captures and which hot pairs

@@ -10,15 +10,16 @@
 ///   ocelotc FILE.ocl [options]
 ///
 ///   --model=jit|atomics|ocelot|check   execution model (default ocelot)
-///   --dispatch=tree|flat|threaded      interpreter engine (default
-///                                      threaded; all three are pinned
+///   --dispatch=tree|threaded           interpreter engine (default
+///                                      threaded; both are pinned
 ///                                      bitwise-identical)
 ///   --emit-ir                          print the compiled IR
 ///   --disasm                           print the flat executable image
 ///                                      (PC, opcode, resolved targets,
 ///                                      cost, region/monitor annotations)
 ///   --emit-policies                    print derived policies and regions
-///   --run[=N]                          run N main() activations (default 1)
+///   --run[=N]                          run N main() activations (default 1;
+///                                      N a positive integer)
 ///   --intermittent                     energy-driven power failures
 ///   --power=P                          harvesting environment: a profile
 ///                                      name (see src/power/PowerProfiles.h)
@@ -30,7 +31,7 @@
 ///                                      sensor-trace CSV path (default:
 ///                                      per-sensor seeded noise)
 ///   --monitor                          arm both violation detectors
-///   --seed=S                           simulation seed
+///   --seed=S                           simulation seed (unsigned 64-bit)
 ///   --trace-out=FILE                   write a Chrome trace_event JSON
 ///                                      timeline of the run (reboots,
 ///                                      regions, monitor checks, sensor
@@ -53,7 +54,8 @@
 ///                                      source) is a hard error
 ///
 /// Exit status: 0 on success; 1 on compile/check/run failure (including an
-/// unknown --model=, --power= or --sensors= value, an unreadable or stale
+/// unknown --model=, --dispatch=, --power= or --sensors= value, a --run= or
+/// --seed= that is not a whole in-range integer, an unreadable or stale
 /// --pgo= bundle, or an unwritable --pgo-out= path); for --monitor runs, 2
 /// when any timing violation was detected.
 ///
@@ -68,7 +70,10 @@
 #include "telemetry/TraceSink.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -97,15 +102,25 @@ struct EngineName {
 
 constexpr EngineName EngineNames[] = {
     {"tree", DispatchEngine::Tree},
-    {"flat", DispatchEngine::Flat},
     {"threaded", DispatchEngine::Threaded},
 };
+
+/// Parses all of \p Value as a decimal uint64: no sign, no whitespace, no
+/// trailing characters, no overflow.
+bool parseU64Flag(const std::string &Value, uint64_t &Out) {
+  if (Value.empty() || Value[0] < '0' || Value[0] > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  Out = std::strtoull(Value.c_str(), &End, 10);
+  return End && *End == '\0' && errno == 0;
+}
 
 void usage() {
   std::fprintf(
       stderr,
       "usage: ocelotc FILE.ocl [--model=jit|atomics|ocelot|check]\n"
-      "               [--dispatch=tree|flat|threaded]\n"
+      "               [--dispatch=tree|threaded]\n"
       "               [--emit-ir] [--disasm] [--emit-policies] [--run[=N]]\n"
       "               [--intermittent] [--power=profile|trace.csv]\n"
       "               [--sensors=scenario|trace.csv] [--monitor] "
@@ -226,7 +241,15 @@ int main(int argc, char **argv) {
     } else if (Arg == "--run") {
       Runs = 1;
     } else if (Arg.rfind("--run=", 0) == 0) {
-      Runs = std::atoi(Arg.c_str() + 6);
+      uint64_t N = 0;
+      if (!parseU64Flag(Arg.substr(6), N) || N == 0 || N > INT_MAX) {
+        std::fprintf(stderr,
+                     "error: --run= expects a positive integer (at most "
+                     "%d), got '%s'\n",
+                     INT_MAX, Arg.c_str() + 6);
+        return 1;
+      }
+      Runs = static_cast<int>(N);
     } else if (Arg == "--intermittent") {
       Intermittent = true;
     } else if (Arg.rfind("--power=", 0) == 0) {
@@ -264,7 +287,14 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--pgo-out=", 0) == 0) {
       PgoOutPath = Arg.substr(10);
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
+      if (!parseU64Flag(Arg.substr(7), Seed)) {
+        std::fprintf(stderr,
+                     "error: --seed= expects a non-negative integer (at "
+                     "most %llu), got '%s'\n",
+                     static_cast<unsigned long long>(UINT64_MAX),
+                     Arg.c_str() + 7);
+        return 1;
+      }
     } else if (Arg.rfind("--dispatch=", 0) == 0) {
       std::string E = Arg.substr(11);
       bool Known = false;
@@ -277,7 +307,7 @@ int main(int argc, char **argv) {
       if (!Known) {
         std::fprintf(
             stderr,
-            "error: unknown engine '%s' (valid: tree, flat, threaded)\n",
+            "error: unknown engine '%s' (valid: tree, threaded)\n",
             E.c_str());
         return 1;
       }

@@ -1,4 +1,4 @@
-//===- DifferentialFuzzTest.cpp - Randomized three-engine differential fuzzing ---===//
+//===- DifferentialFuzzTest.cpp - Randomized three-leg differential fuzzing ------===//
 //
 // Part of the Ocelot reproduction, released under the MIT license.
 //
@@ -6,11 +6,14 @@
 ///
 /// \file
 /// Generates random-but-valid OCL programs from a seeded grammar walk and
-/// pins the three interpreter engines (tree, flat, threaded) to
-/// bitwise-identical observable behavior on every one of them: every
-/// RunResult field, every violation record, every trace event, and the
-/// final device state (tau, epoch, NVM image) must match across engines,
-/// per activation, under continuous power and energy-driven failures.
+/// pins three legs to bitwise-identical observable behavior on every one
+/// of them: the tree engine (the reference), the threaded engine over an
+/// unfused image (FusionMode::Off — plain handlers only, the same handlers
+/// the taint instantiation runs), and the threaded engine over the default
+/// fused image. Every RunResult field, every violation record, every trace
+/// event, and the final device state (tau, epoch, NVM image) must match
+/// across legs, per activation, under continuous power and energy-driven
+/// failures.
 ///
 /// The generator emits straight-line arithmetic, nested if/else, bounded
 /// for loops, helper-function calls (by value and by reference), manual
@@ -31,9 +34,9 @@
 /// The config matrix is chosen to reach every dispatch specialization of
 /// the threaded engine: continuous power without monitors (the Hot loop
 /// with the trace-off output fast path), bit-vector monitors alone (the
-/// checked loop -- the formal monitor would instead force the taint
-/// interpreter), energy-driven failures with each monitor setting, and an
-/// oracle-armed config whose OracleRecords must also agree bitwise.
+/// observed loop -- the formal monitor would instead force the taint
+/// instantiation), energy-driven failures with each monitor setting, and
+/// an oracle-armed config whose OracleRecords must also agree bitwise.
 ///
 /// OCELOT_FUZZ_PROGRAMS sets the number of generated programs (default
 /// 30, sized for the default ctest lane; the dedicated CI fuzz job raises
@@ -48,6 +51,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -585,54 +589,73 @@ void expectSameResult(const RunResult &Got, const RunResult &Ref,
   EXPECT_EQ(Got.TraceData.Reboots, Ref.TraceData.Reboots) << What;
 }
 
-/// Runs \p Runs activations of \p A under all three engines with identical
-/// configs and compares every activation plus the final device state.
-/// \p Traced attaches a fresh TraceSink per engine and additionally
-/// requires the three exported trace streams to be byte-identical.
-void runThreeWay(const CompiledArtifact &A, const RunConfig &Base,
-                 uint64_t Seed, int Runs, const std::string &What,
-                 bool Traced = false) {
+/// Runs \p Runs activations under the three legs with identical configs
+/// — tree and threaded over \p A, threaded over \p Unfused (the same
+/// source compiled with FusionMode::Off) — and compares every activation
+/// plus the final device state. \p Traced attaches a fresh TraceSink per
+/// leg and additionally requires the three exported trace streams to be
+/// byte-identical.
+void runThreeWay(const CompiledArtifact &A, const CompiledArtifact &Unfused,
+                 const RunConfig &Base, uint64_t Seed, int Runs,
+                 const std::string &What, bool Traced = false) {
   TraceSink Sinks[3];
   int NextSink = 0;
-  auto mkSim = [&](DispatchEngine E) {
+  auto mkSim = [&](const CompiledArtifact &Art, DispatchEngine E) {
     SimulationSpec Spec;
     Spec.Config = Base;
     Spec.Config.Seed = Seed;
     Spec.Config.Dispatch = E;
     if (Traced)
       Spec.Config.Telemetry = &Sinks[NextSink++];
-    return Simulation(A, std::move(Spec));
+    return Simulation(Art, std::move(Spec));
   };
-  Simulation Tree = mkSim(DispatchEngine::Tree);
-  Simulation Flat = mkSim(DispatchEngine::Flat);
-  Simulation Threaded = mkSim(DispatchEngine::Threaded);
+  Simulation Tree = mkSim(A, DispatchEngine::Tree);
+  Simulation Plain = mkSim(Unfused, DispatchEngine::Threaded);
+  Simulation Threaded = mkSim(A, DispatchEngine::Threaded);
 
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
-    RunResult FR = Flat.runOnce();
+    RunResult PR = Plain.runOnce();
     RunResult HR = Threaded.runOnce();
     std::string Tag = What + "/run" + std::to_string(Run);
-    expectSameResult(FR, TR, Tag + " [flat vs tree]");
+    expectSameResult(PR, TR, Tag + " [unfused threaded vs tree]");
     expectSameResult(HR, TR, Tag + " [threaded vs tree]");
-    if (TR.Starved && FR.Starved && HR.Starved)
+    if (TR.Starved && PR.Starved && HR.Starved)
       break; // Device state after starvation is equal but final.
   }
-  EXPECT_EQ(Flat.tau(), Tree.tau()) << What;
+  EXPECT_EQ(Plain.tau(), Tree.tau()) << What;
   EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
-  EXPECT_EQ(Flat.epoch(), Tree.epoch()) << What;
+  EXPECT_EQ(Plain.epoch(), Tree.epoch()) << What;
   EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
-  EXPECT_EQ(Flat.nvmSnapshot(), Tree.nvmSnapshot()) << What;
+  EXPECT_EQ(Plain.nvmSnapshot(), Tree.nvmSnapshot()) << What;
   EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
   if (Traced) {
     std::string Ref = Sinks[0].exportChromeJson();
     EXPECT_EQ(Sinks[1].exportChromeJson(), Ref)
-        << What << " [flat trace diverged]";
+        << What << " [unfused threaded trace diverged]";
     EXPECT_EQ(Sinks[2].exportChromeJson(), Ref)
         << What << " [threaded trace diverged]";
   }
 }
 
-TEST(DifferentialFuzz, TreeFlatThreadedAgreeOnRandomPrograms) {
+/// Compiles \p Src under \p Model twice — default fusion and
+/// FusionMode::Off — for the two threaded legs of runThreeWay. Returns
+/// false when the toolchain rejects the program (in-contract).
+bool compileBoth(const std::string &Src, ExecModel Model,
+                 std::optional<Compilation> &Fused,
+                 std::optional<Compilation> &Unfused) {
+  CompileOptions Opts;
+  Opts.Model = Model;
+  Fused.emplace(Toolchain().compile(Src, Opts));
+  if (!Fused->ok())
+    return false;
+  Opts.Fusion = FusionMode::Off;
+  Unfused.emplace(Toolchain().compile(Src, Opts));
+  EXPECT_TRUE(Unfused->ok()) << "fusion tier changed compile acceptance";
+  return Unfused->ok();
+}
+
+TEST(DifferentialFuzz, TreeAndThreadedAgreeOnRandomPrograms) {
   const int Programs = fuzzBudget();
   int Valid = 0;
   int Rejected = 0;
@@ -643,50 +666,51 @@ TEST(DifferentialFuzz, TreeFlatThreadedAgreeOnRandomPrograms) {
                  std::to_string(GenSeed) + "):\n" + Src);
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      CompileOptions Opts;
-      Opts.Model = Model;
-      Compilation C = Toolchain().compile(Src, Opts);
-      if (!C.ok()) {
+      std::optional<Compilation> C, CU;
+      if (!compileBoth(Src, Model, C, CU)) {
         // Clean rejection (diagnostics, no crash) is in-contract.
         ++Rejected;
         continue;
       }
       ++Valid;
-      const CompiledArtifact &A = C.artifact();
+      const CompiledArtifact &A = C->artifact();
+      const CompiledArtifact &U = CU->artifact();
       std::string What =
           "p" + std::to_string(P) + "/" + execModelName(Model);
 
       // Continuous power, no monitors, no trace: the threaded engine's Hot
       // specialization and the trace-off output fast path.
       RunConfig Plain;
-      runThreeWay(A, Plain, GenSeed ^ 0xA5, 2, What + "/hot");
+      runThreeWay(A, U, Plain, GenSeed ^ 0xA5, 2, What + "/hot");
 
-      // Bit-vector monitor alone keeps the real threaded loop in charge
-      // (the formal monitor's taint tracking would delegate to the taint
-      // interpreter, which is separate coverage below).
+      // Bit-vector monitor alone runs the observed loop (the formal
+      // monitor's taint tracking selects the taint instantiation, which is
+      // separate coverage below).
       RunConfig BitVec;
       BitVec.MonitorBitVector = true;
       BitVec.RecordTrace = true;
-      runThreeWay(A, BitVec, GenSeed ^ 0x5A, 2, What + "/bitvec");
+      runThreeWay(A, U, BitVec, GenSeed ^ 0x5A, 2, What + "/bitvec");
 
       RunConfig Energy = BitVec;
       Energy.Plan = FailurePlan::energyDriven();
-      runThreeWay(A, Energy, GenSeed * 31 + 7, 4, What + "/energy");
+      runThreeWay(A, U, Energy, GenSeed * 31 + 7, 4, What + "/energy");
 
       RunConfig Full = Energy;
       Full.MonitorFormal = true;
-      runThreeWay(A, Full, GenSeed * 131 + 13, 4, What + "/energy-taint");
+      runThreeWay(A, U, Full, GenSeed * 131 + 13, 4,
+                  What + "/energy-taint");
 
       // Input-epoch oracle armed: every committed output's fused-input
-      // record and verdict must agree bitwise across the engines.
+      // record and verdict must agree bitwise across the legs.
       RunConfig Oracle = Energy;
       Oracle.Oracle = true;
-      runThreeWay(A, Oracle, GenSeed * 257 + 29, 4, What + "/energy-oracle");
+      runThreeWay(A, U, Oracle, GenSeed * 257 + 29, 4,
+                  What + "/energy-oracle");
 
       // Same config with telemetry attached: trace hooks must not change
-      // any observable result, and the per-engine trace streams must
+      // any observable result, and the per-leg trace streams must
       // match byte for byte.
-      runThreeWay(A, Full, GenSeed * 131 + 13, 4, What + "/energy-traced",
+      runThreeWay(A, U, Full, GenSeed * 131 + 13, 4, What + "/energy-traced",
                   /*Traced=*/true);
     }
   }
@@ -719,7 +743,7 @@ TEST(DifferentialFuzz, RegressionCorpus) {
       "fn main() { let x = 1; let y = bump(&x); log(x, y); }\n",
       // Mid-chain trap: a long chainable run whose interior divides by
       // zero — the threaded engine must unwind from inside a superblock
-      // chain with the same state the unfused engines leave.
+      // chain with the same state the unfused legs leave.
       "io s;\nstatic n = 0;\nfn main() { let x = s(); let a = x + 1;\n"
       "  let b = a * 2; let c = (b / (x - x)); let d = c + a;\n"
       "  n = d; log(n); }\n",
@@ -731,7 +755,7 @@ TEST(DifferentialFuzz, RegressionCorpus) {
       // Reboot-resume inside a chain: a hot straight-line body long
       // enough that energy-driven failures interrupt it mid-chain; the
       // resume PC lands on a plain interior code and must replay to the
-      // same state as the unfused engines (exercised across the
+      // same state as the unfused legs (exercised across the
       // energy-driven runThreeWay below).
       "io s;\nstatic n = 0;\nstatic m = 0;\nfn main() { let x = s();\n"
       "  let a = x + 1; let b = a + 2; let c = b + 3; let d = c + 4;\n"
@@ -749,16 +773,14 @@ TEST(DifferentialFuzz, RegressionCorpus) {
     SCOPED_TRACE("corpus program " + std::to_string(Idx++) + ":\n" + Src);
     for (ExecModel Model :
          {ExecModel::Ocelot, ExecModel::JitOnly, ExecModel::AtomicsOnly}) {
-      CompileOptions Opts;
-      Opts.Model = Model;
-      Compilation C = Toolchain().compile(Src, Opts);
-      if (!C.ok())
+      std::optional<Compilation> C, CU;
+      if (!compileBoth(Src, Model, C, CU))
         continue;
       RunConfig Cfg;
       Cfg.MonitorBitVector = true;
       Cfg.RecordTrace = true;
       Cfg.Plan = FailurePlan::energyDriven();
-      runThreeWay(C.artifact(), Cfg, 42, 4,
+      runThreeWay(C->artifact(), CU->artifact(), Cfg, 42, 4,
                   std::string("corpus/") + execModelName(Model));
     }
   }

@@ -5,20 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the flat PC-indexed and threaded direct-dispatch engines to the
-/// tree-walking reference semantics, and unit-tests the ExecutableImage
-/// construction itself:
+/// Pins the threaded direct-dispatch engine to the tree-walking reference
+/// semantics, and unit-tests the ExecutableImage construction itself:
 ///
 ///  * Differential sweep — every benchmark x {Ocelot, JIT-only,
-///    Atomics-only} x 3 seeds runs under energy-driven failures with all
-///    three engines; RunResult (traps, outputs, violation records, all
+///    Atomics-only} x 3 seeds runs under energy-driven failures with both
+///    engines and both monitors (the threaded engine's taint
+///    instantiation); RunResult (traps, outputs, violation records, all
 ///    intermittent counters) and final device state must match exactly.
 ///    Focused differentials cover the pathological, random (+static
 ///    omega) and periodic failure paths, a trace-driven SensorScenario
 ///    feeding the zero-temporary Input paths, the bit-vector-only monitor
-///    configuration (the threaded engine's own checked loop; the formal
-///    monitor instead delegates to the taint interpreter) and the
-///    monitor-free continuous configuration (the Hot loop).
+///    configuration (the observed loop; the formal monitor instead selects
+///    the taint instantiation) and the monitor-free continuous
+///    configuration (the Hot loop). A leak check counts allocations
+///    around whole threaded simulations in every loop instantiation.
 ///
 ///  * Image construction — linearization order, branch/call target
 ///    resolution, cost-table folding, monitor/omega side-table density
@@ -47,36 +48,58 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <tuple>
 
 using namespace ocelot;
+
+// Live count of global operator-new allocations, for the leak check in
+// ThreadedHandlersReleaseWhatTheyAllocate.
+static std::atomic<long> LiveNews{0};
+
+void *operator new(std::size_t N) {
+  void *P = std::malloc(N ? N : 1);
+  if (!P)
+    throw std::bad_alloc();
+  ++LiveNews;
+  return P;
+}
+void operator delete(void *P) noexcept {
+  if (P) {
+    --LiveNews;
+    std::free(P);
+  }
+}
+void operator delete(void *P, std::size_t) noexcept { operator delete(P); }
 
 namespace {
 
 // -- Differential execution ------------------------------------------------
 
 /// Everything observable about one activation must match across engines.
-void expectSameResult(const RunResult &Flat /*engine under test*/,
+void expectSameResult(const RunResult &Got /*engine under test*/,
                       const RunResult &Tree /*reference*/,
                       const std::string &What) {
-  EXPECT_EQ(Flat.Completed, Tree.Completed) << What;
-  EXPECT_EQ(Flat.Starved, Tree.Starved) << What;
-  EXPECT_EQ(Flat.Trap, Tree.Trap) << What;
-  EXPECT_EQ(Flat.OnCycles, Tree.OnCycles) << What;
-  EXPECT_EQ(Flat.OffCycles, Tree.OffCycles) << What;
-  EXPECT_EQ(Flat.Steps, Tree.Steps) << What;
-  EXPECT_EQ(Flat.Reboots, Tree.Reboots) << What;
-  EXPECT_EQ(Flat.Checkpoints, Tree.Checkpoints) << What;
-  EXPECT_EQ(Flat.UndoLogEntries, Tree.UndoLogEntries) << What;
-  EXPECT_EQ(Flat.AtomicCommits, Tree.AtomicCommits) << What;
-  EXPECT_EQ(Flat.AtomicAborts, Tree.AtomicAborts) << What;
-  EXPECT_EQ(Flat.ViolatedFresh, Tree.ViolatedFresh) << What;
-  EXPECT_EQ(Flat.ViolatedConsistent, Tree.ViolatedConsistent) << What;
-  EXPECT_EQ(Flat.FinalTau, Tree.FinalTau) << What;
+  EXPECT_EQ(Got.Completed, Tree.Completed) << What;
+  EXPECT_EQ(Got.Starved, Tree.Starved) << What;
+  EXPECT_EQ(Got.Trap, Tree.Trap) << What;
+  EXPECT_EQ(Got.OnCycles, Tree.OnCycles) << What;
+  EXPECT_EQ(Got.OffCycles, Tree.OffCycles) << What;
+  EXPECT_EQ(Got.Steps, Tree.Steps) << What;
+  EXPECT_EQ(Got.Reboots, Tree.Reboots) << What;
+  EXPECT_EQ(Got.Checkpoints, Tree.Checkpoints) << What;
+  EXPECT_EQ(Got.UndoLogEntries, Tree.UndoLogEntries) << What;
+  EXPECT_EQ(Got.AtomicCommits, Tree.AtomicCommits) << What;
+  EXPECT_EQ(Got.AtomicAborts, Tree.AtomicAborts) << What;
+  EXPECT_EQ(Got.ViolatedFresh, Tree.ViolatedFresh) << What;
+  EXPECT_EQ(Got.ViolatedConsistent, Tree.ViolatedConsistent) << What;
+  EXPECT_EQ(Got.FinalTau, Tree.FinalTau) << What;
 
-  ASSERT_EQ(Flat.Violations.size(), Tree.Violations.size()) << What;
-  for (size_t V = 0; V < Flat.Violations.size(); ++V) {
-    const ViolationRecord &FV = Flat.Violations[V];
+  ASSERT_EQ(Got.Violations.size(), Tree.Violations.size()) << What;
+  for (size_t V = 0; V < Got.Violations.size(); ++V) {
+    const ViolationRecord &FV = Got.Violations[V];
     const ViolationRecord &TV = Tree.Violations[V];
     EXPECT_EQ(FV.K, TV.K) << What << " violation " << V;
     EXPECT_TRUE(FV.Site == TV.Site) << What << " violation " << V;
@@ -85,24 +108,24 @@ void expectSameResult(const RunResult &Flat /*engine under test*/,
     EXPECT_EQ(FV.Detail, TV.Detail) << What << " violation " << V;
   }
 
-  ASSERT_EQ(Flat.TraceData.Inputs.size(), Tree.TraceData.Inputs.size())
+  ASSERT_EQ(Got.TraceData.Inputs.size(), Tree.TraceData.Inputs.size())
       << What;
-  for (size_t I = 0; I < Flat.TraceData.Inputs.size(); ++I)
-    EXPECT_TRUE(Flat.TraceData.Inputs[I] == Tree.TraceData.Inputs[I])
+  for (size_t I = 0; I < Got.TraceData.Inputs.size(); ++I)
+    EXPECT_TRUE(Got.TraceData.Inputs[I] == Tree.TraceData.Inputs[I])
         << What << " input " << I;
-  ASSERT_EQ(Flat.TraceData.Outputs.size(), Tree.TraceData.Outputs.size())
+  ASSERT_EQ(Got.TraceData.Outputs.size(), Tree.TraceData.Outputs.size())
       << What;
-  for (size_t O = 0; O < Flat.TraceData.Outputs.size(); ++O) {
-    EXPECT_TRUE(Flat.TraceData.Outputs[O].sameContent(
+  for (size_t O = 0; O < Got.TraceData.Outputs.size(); ++O) {
+    EXPECT_TRUE(Got.TraceData.Outputs[O].sameContent(
         Tree.TraceData.Outputs[O]))
         << What << " output " << O;
-    EXPECT_EQ(Flat.TraceData.Outputs[O].Tau, Tree.TraceData.Outputs[O].Tau)
+    EXPECT_EQ(Got.TraceData.Outputs[O].Tau, Tree.TraceData.Outputs[O].Tau)
         << What << " output " << O;
   }
-  EXPECT_EQ(Flat.TraceData.Reboots, Tree.TraceData.Reboots) << What;
+  EXPECT_EQ(Got.TraceData.Reboots, Tree.TraceData.Reboots) << What;
 }
 
-/// Runs \p Runs activations under all three engines with otherwise
+/// Runs \p Runs activations under both engines with otherwise
 /// identical specs and compares every activation plus the final device
 /// state against the tree reference. A null \p Scenario selects the
 /// benchmark's default seeded-noise world.
@@ -123,26 +146,20 @@ void runDifferential(const BenchmarkDef &B, ExecModel Model, uint64_t Seed,
     return Simulation(CB.Artifact, std::move(Spec));
   };
   Simulation Tree = mkSim(DispatchEngine::Tree);
-  Simulation Flat = mkSim(DispatchEngine::Flat);
   Simulation Threaded = mkSim(DispatchEngine::Threaded);
 
   std::string What = B.Name + "/" + execModelName(Model) + "/seed" +
                      std::to_string(Seed);
   for (int Run = 0; Run < Runs; ++Run) {
     RunResult TR = Tree.runOnce();
-    RunResult FR = Flat.runOnce();
     RunResult HR = Threaded.runOnce();
     std::string Tag = What + "/run" + std::to_string(Run);
-    expectSameResult(FR, TR, Tag + " [flat vs tree]");
     expectSameResult(HR, TR, Tag + " [threaded vs tree]");
-    if (TR.Starved && FR.Starved && HR.Starved)
+    if (TR.Starved && HR.Starved)
       break; // Device state after starvation is equal but final.
   }
-  EXPECT_EQ(Flat.tau(), Tree.tau()) << What;
   EXPECT_EQ(Threaded.tau(), Tree.tau()) << What;
-  EXPECT_EQ(Flat.epoch(), Tree.epoch()) << What;
   EXPECT_EQ(Threaded.epoch(), Tree.epoch()) << What;
-  EXPECT_EQ(Flat.nvmSnapshot(), Tree.nvmSnapshot()) << What;
   EXPECT_EQ(Threaded.nvmSnapshot(), Tree.nvmSnapshot()) << What;
 }
 
@@ -205,8 +222,8 @@ TEST(ExecImageDifferentialFocused, RandomPlanWithStaticOmega) {
 
 TEST(ExecImageDifferentialFocused, TraceDrivenScenario) {
   // Inputs from a recorded trace (phase-staggered correlated channels)
-  // instead of synthetic noise: the flat engine's raw-int64 Input path
-  // must still agree with the tree engine bit for bit.
+  // instead of synthetic noise: the threaded engine's Input path must
+  // still agree with the tree engine bit for bit.
   std::string Error;
   std::shared_ptr<const SensorTrace> T = SensorTrace::Builder()
                                              .segment(40'000, 21)
@@ -235,9 +252,9 @@ TEST(ExecImageDifferentialFocused, PeriodicPlan) {
 }
 
 TEST(ExecImageDifferentialFocused, BitVectorOnlyMonitors) {
-  // With the formal monitor off, the threaded engine runs its own checked
-  // (non-Hot) loop with the bit-vector detector armed, instead of
-  // delegating taint tracking to the flat taint interpreter.
+  // With the formal monitor off, the threaded engine runs its observed
+  // (non-Hot, taint-off) loop with the bit-vector detector armed, instead
+  // of the taint instantiation.
   RunConfig Cfg;
   Cfg.Plan = FailurePlan::energyDriven();
   Cfg.MonitorBitVector = true;
@@ -260,14 +277,14 @@ TEST(ExecImageDifferentialFocused, HotLoopNoMonitors) {
 TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
   // Telemetry attached (per-engine sinks): the trace hooks must not
   // perturb execution — the differential pinning holds with tracing on —
-  // and the three engines' event streams must export identical bytes.
+  // and both engines' event streams must export identical bytes.
   const BenchmarkDef &B = *findBenchmark("tire");
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
-  TraceSink Sinks[3];
-  const DispatchEngine Engines[3] = {
-      DispatchEngine::Tree, DispatchEngine::Flat, DispatchEngine::Threaded};
-  RunResult Results[3];
-  for (int E = 0; E < 3; ++E) {
+  TraceSink Sinks[2];
+  const DispatchEngine Engines[2] = {DispatchEngine::Tree,
+                                     DispatchEngine::Threaded};
+  RunResult Results[2];
+  for (int E = 0; E < 2; ++E) {
     SimulationSpec Spec;
     Spec.Config.Plan = FailurePlan::energyDriven();
     Spec.Config.MonitorBitVector = true;
@@ -281,12 +298,10 @@ TEST(ExecImageDifferentialFocused, TracedRunsStayPinned) {
     for (int Run = 0; Run < 4; ++Run)
       Results[E] = Sim.runOnce();
   }
-  expectSameResult(Results[1], Results[0], "traced [flat vs tree]");
-  expectSameResult(Results[2], Results[0], "traced [threaded vs tree]");
+  expectSameResult(Results[1], Results[0], "traced [threaded vs tree]");
   std::string Ref = Sinks[0].exportChromeJson();
   EXPECT_GT(Sinks[0].size(), 0u);
-  EXPECT_EQ(Sinks[1].exportChromeJson(), Ref) << "flat trace diverged";
-  EXPECT_EQ(Sinks[2].exportChromeJson(), Ref) << "threaded trace diverged";
+  EXPECT_EQ(Sinks[1].exportChromeJson(), Ref) << "threaded trace diverged";
 }
 
 TEST(ExecImageDifferentialFocused, TrapsMatch) {
@@ -295,14 +310,54 @@ TEST(ExecImageDifferentialFocused, TrapsMatch) {
   Compilation C = Toolchain().compile(
       "static a: [int; 2];\nfn main() { let i = 5; a[i] = 1; }", Opts);
   ASSERT_TRUE(C.ok()) << C.status().str();
-  for (DispatchEngine E : {DispatchEngine::Flat, DispatchEngine::Tree,
-                           DispatchEngine::Threaded}) {
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
     SimulationSpec Spec;
     Spec.Config.Dispatch = E;
     Simulation Sim(C.artifact(), std::move(Spec));
     RunResult R = Sim.runOnce();
     EXPECT_FALSE(R.Completed);
     EXPECT_NE(R.Trap.find("out of bounds"), std::string::npos) << R.Trap;
+  }
+}
+
+TEST(ExecImageDifferentialFocused, ThreadedHandlersReleaseWhatTheyAllocate) {
+  // Computed-goto dispatch leaves a handler's scope without running its
+  // destructors, so a handler that keeps an owning object (an output
+  // event, a taint-carrying value) alive across its dispatch leaks it.
+  // Whole simulations in every loop instantiation, with outputs inside
+  // an atomic region and across a call, must hand back every allocation.
+  CompileOptions Opts;
+  Opts.Model = ExecModel::AtomicsOnly;
+  Compilation C = Toolchain().compile(
+      "io s;\nstatic n = 0;\nfn twice(v: int) -> int { return (v * 2); }\n"
+      "fn main() { let x = s(); atomic { n = twice(x); log(n, x); }\n"
+      "  log(n); }\n",
+      Opts);
+  ASSERT_TRUE(C.ok()) << C.status().str();
+
+  RunConfig Hot; // Events recorded, nothing else: the Hot loop.
+  Hot.RecordTrace = true;
+  RunConfig Observed = Hot;
+  Observed.Plan = FailurePlan::energyDriven();
+  Observed.MonitorBitVector = true;
+  RunConfig Taint = Observed;
+  Taint.MonitorFormal = true;
+  Taint.Oracle = true;
+  RunConfig OracleOnly; // Taint loop; outputs built for the oracle only.
+  OracleOnly.Oracle = true;
+  for (const RunConfig &Base : {Hot, Observed, Taint, OracleOnly}) {
+    auto Run = [&] {
+      SimulationSpec Spec;
+      Spec.Config = Base;
+      Simulation Sim(C.artifact(), std::move(Spec));
+      for (int R = 0; R < 8; ++R)
+        (void)Sim.runOnce();
+    };
+    Run(); // Warm-up: first-use statics allocate once and stay.
+    const long Before = LiveNews.load();
+    Run();
+    EXPECT_EQ(LiveNews.load(), Before)
+        << "taint=" << Base.Oracle << " monitors=" << Base.MonitorBitVector;
   }
 }
 
@@ -940,17 +995,20 @@ TEST(ExecImage, KindlessOperandTrapsInsteadOfYieldingZero) {
 
   // White-box: a surgically corrupted Program has no artifact, so this
   // test constructs the Interpreter directly (the runtime-internal path).
-  for (DispatchEngine E : {DispatchEngine::Flat, DispatchEngine::Tree,
-                           DispatchEngine::Threaded}) {
-    RunConfig Cfg;
-    Cfg.Dispatch = E;
-    Interpreter I(*CR.Prog, Cfg, &CR.Monitor, &CR.Regions);
-    RunResult R = I.runOnce();
-    EXPECT_FALSE(R.Completed);
-    EXPECT_NE(R.Trap.find("operand without a kind"), std::string::npos)
-        << R.Trap;
-    EXPECT_NE(R.Trap.find("lowering bug"), std::string::npos) << R.Trap;
-  }
+  // With taint on, the threaded engine's taint instantiation reads the
+  // operand through its own (taint-carrying) path.
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded})
+    for (bool Taint : {false, true}) {
+      RunConfig Cfg;
+      Cfg.Dispatch = E;
+      Cfg.TrackTaint = Taint;
+      Interpreter I(*CR.Prog, Cfg, &CR.Monitor, &CR.Regions);
+      RunResult R = I.runOnce();
+      EXPECT_FALSE(R.Completed);
+      EXPECT_NE(R.Trap.find("operand without a kind"), std::string::npos)
+          << R.Trap;
+      EXPECT_NE(R.Trap.find("lowering bug"), std::string::npos) << R.Trap;
+    }
 }
 #endif // NDEBUG
 

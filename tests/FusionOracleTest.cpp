@@ -21,7 +21,7 @@
 ///    atomic region aborts and re-executes both reads after the reboot).
 ///
 /// The suite also pins the classifier's pure-function edge cases, the
-/// three-engine bitwise agreement of oracle records on the pinned
+/// two-engine bitwise agreement of oracle records on the pinned
 /// programs, and the oracle-off contract: disarming the oracle leaves
 /// every other RunResult field bitwise unchanged (the bench goldens —
 /// table2a/table2b/fig8 — extend the same contract to whole tables).
@@ -237,15 +237,11 @@ TEST(FusionOracle, VerdictsBitwiseIdenticalAcrossEngines) {
     FailurePlan Plan =
         C.FailAtSecondRead ? planAt(nthInput(A, 1)) : FailurePlan::none();
     RunResult Tree = runOracle(A, Plan, DispatchEngine::Tree);
-    RunResult Flat = runOracle(A, Plan, DispatchEngine::Flat);
     RunResult Threaded = runOracle(A, Plan, DispatchEngine::Threaded);
     std::string What = execModelName(C.Model);
-    ASSERT_EQ(Flat.OracleRecords.size(), Tree.OracleRecords.size()) << What;
     ASSERT_EQ(Threaded.OracleRecords.size(), Tree.OracleRecords.size())
         << What;
     for (size_t O = 0; O < Tree.OracleRecords.size(); ++O) {
-      EXPECT_TRUE(Flat.OracleRecords[O] == Tree.OracleRecords[O])
-          << What << " record " << O << " [flat vs tree]";
       EXPECT_TRUE(Threaded.OracleRecords[O] == Tree.OracleRecords[O])
           << What << " record " << O << " [threaded vs tree]";
     }

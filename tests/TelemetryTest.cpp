@@ -16,8 +16,9 @@
 ///    of the same config produce identical RunResults and final device
 ///    state, on every engine.
 ///  * The bounded ring drops oldest-first and reports the drop count.
-///  * PcProfile counters agree between the flat and threaded engines and
-///    sum to the executed step count.
+///  * PcProfile counters agree between the threaded engine's taint
+///    instantiation (plain-opcode dispatch) and its fused taint-off
+///    dispatch, and sum to the executed step count.
 ///  * MetricsRegistry dumps are deterministically ordered and round
 ///    numbers through counter/summary accessors.
 ///
@@ -248,15 +249,11 @@ TEST(TraceExport, ByteStableAcrossRunsForFixedSeed) {
 }
 
 TEST(TraceExport, EngineInvariant) {
-  // The three engines are pinned bitwise; their trace streams must be
-  // too.
-  TraceSink Tree, Flat, Threaded;
+  // The two engines are pinned bitwise; their trace streams must be too.
+  TraceSink Tree, Threaded;
   runTire(DispatchEngine::Tree, &Tree, 4, /*Seed=*/13);
-  runTire(DispatchEngine::Flat, &Flat, 4, /*Seed=*/13);
   runTire(DispatchEngine::Threaded, &Threaded, 4, /*Seed=*/13);
-  std::string Ref = Tree.exportChromeJson();
-  EXPECT_EQ(Flat.exportChromeJson(), Ref);
-  EXPECT_EQ(Threaded.exportChromeJson(), Ref);
+  EXPECT_EQ(Threaded.exportChromeJson(), Tree.exportChromeJson());
 }
 
 TEST(TraceExport, WriteChromeJsonRoundTrips) {
@@ -285,8 +282,7 @@ TEST(TraceExport, WriteChromeJsonRoundTrips) {
 // -- Zero-perturbation invariant -------------------------------------------
 
 TEST(TraceSinkTest, TelemetryOnAndOffProduceIdenticalResults) {
-  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Flat,
-                           DispatchEngine::Threaded}) {
+  for (DispatchEngine E : {DispatchEngine::Tree, DispatchEngine::Threaded}) {
     TraceSink Sink;
     std::vector<std::vector<int64_t>> NvmOn, NvmOff;
     std::vector<RunResult> On = runTire(E, &Sink, 5, /*Seed=*/3, &NvmOn);
@@ -325,17 +321,22 @@ TEST(TraceSinkTest, BoundedRingDropsOldest) {
 
 // -- PcProfile -------------------------------------------------------------
 
-TEST(PcProfileTest, FlatAndThreadedAgreeAndSumToSteps) {
+TEST(PcProfileTest, TaintAndFusedDispatchAgreeAndSumToSteps) {
+  // The formal monitor selects the taint instantiation, which dispatches
+  // plain opcodes only; without it the same artifact runs its fused pairs
+  // and chains. Monitors never steer execution, so both walk the same
+  // PCs.
   const BenchmarkDef &B = *findBenchmark("tire");
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
-  auto profiled = [&](DispatchEngine E, PcProfile &P) {
+  auto profiled = [&](bool Formal, PcProfile &P) {
     P.prepare(CB.Artifact.image().size(),
               static_cast<size_t>(NumOpcodes));
     SimulationSpec Spec;
     Spec.Config = tracedConfig();
+    Spec.Config.MonitorFormal = Formal;
     Spec.Config.Sensors = B.scenario(5);
     Spec.Config.Seed = 5;
-    Spec.Config.Dispatch = E;
+    Spec.Config.Dispatch = DispatchEngine::Threaded;
     Spec.Config.Profile = &P;
     Simulation Sim(CB.Artifact, std::move(Spec));
     uint64_t Steps = 0;
@@ -344,21 +345,21 @@ TEST(PcProfileTest, FlatAndThreadedAgreeAndSumToSteps) {
     return Steps;
   };
 
-  PcProfile Flat, Threaded;
-  uint64_t FlatSteps = profiled(DispatchEngine::Flat, Flat);
-  uint64_t ThreadedSteps = profiled(DispatchEngine::Threaded, Threaded);
+  PcProfile Taint, Fused;
+  uint64_t TaintSteps = profiled(/*Formal=*/true, Taint);
+  uint64_t FusedSteps = profiled(/*Formal=*/false, Fused);
 
-  EXPECT_EQ(FlatSteps, ThreadedSteps);
-  EXPECT_EQ(Flat.Steps, FlatSteps);
-  EXPECT_EQ(Threaded.Steps, ThreadedSteps);
+  EXPECT_EQ(TaintSteps, FusedSteps);
+  EXPECT_EQ(Taint.Steps, TaintSteps);
+  EXPECT_EQ(Fused.Steps, FusedSteps);
   // Superinstruction slots count individually, so the per-PC histogram
-  // is engine-invariant and accounts for every executed step.
-  EXPECT_EQ(Flat.PcCounts, Threaded.PcCounts);
-  EXPECT_EQ(Flat.PairCounts, Threaded.PairCounts);
+  // is dispatch-invariant and accounts for every executed step.
+  EXPECT_EQ(Taint.PcCounts, Fused.PcCounts);
+  EXPECT_EQ(Taint.PairCounts, Fused.PairCounts);
   uint64_t PcSum =
-      std::accumulate(Flat.PcCounts.begin(), Flat.PcCounts.end(),
+      std::accumulate(Taint.PcCounts.begin(), Taint.PcCounts.end(),
                       static_cast<uint64_t>(0));
-  EXPECT_EQ(PcSum, FlatSteps);
+  EXPECT_EQ(PcSum, TaintSteps);
 }
 
 TEST(PcProfileTest, MergeAccumulates) {
