@@ -130,28 +130,15 @@ Throughput measureThroughput(const CompiledBenchmark &CB,
 /// The engines the report measures. The baseline comes first: every other
 /// engine's speedup (and the CI gate in tools/bench_compare.py) is the
 /// steps/sec ratio against it, which normalizes out host speed.
-/// `threaded-pairs` is the same dispatch loop on an artifact compiled at
-/// the Pairs fusion tier — its gap to `threaded` is the superblock-chain
-/// contribution, reported per row as the chain tier delta.
 struct EngineSpec {
   const char *Name;
   DispatchEngine Engine;
-  bool PairsOnly; ///< Measure the FusionMode::Pairs-compiled artifact.
 };
 constexpr EngineSpec Engines[] = {
-    {"tree", DispatchEngine::Tree, false},
-    {"threaded", DispatchEngine::Threaded, false},
-    {"threaded-pairs", DispatchEngine::Threaded, true},
+    {"tree", DispatchEngine::Tree},
+    {"threaded", DispatchEngine::Threaded},
 };
 constexpr size_t NumEngines = sizeof(Engines) / sizeof(Engines[0]);
-/// The chain tier delta's two legs: threaded over the chains artifact and
-/// over the pairs artifact.
-constexpr size_t ChainsLeg = 1, PairsLeg = 2;
-static_assert(Engines[ChainsLeg].Engine == DispatchEngine::Threaded &&
-                  !Engines[ChainsLeg].PairsOnly &&
-                  Engines[PairsLeg].Engine == DispatchEngine::Threaded &&
-                  Engines[PairsLeg].PairsOnly,
-              "chain tier delta compares threaded chains against pairs");
 
 const ExecModel ReportModels[] = {ExecModel::Ocelot, ExecModel::JitOnly,
                                   ExecModel::AtomicsOnly};
@@ -375,28 +362,15 @@ int runInterpReport(const std::string &Path) {
   for (const BenchmarkDef &B : allBenchmarks()) {
     for (ExecModel Model : ReportModels) {
       CompiledBenchmark CB = compileBenchmark(B, Model, ThroughputReps);
-      // The pair-tier artifact for the chain-delta row: same source and
-      // model, FusionMode::Pairs. Temporarily retarget the process-global
-      // fusion tier (the compile funnel reads it) and restore.
-      const FusionMode Saved = benchFusion();
-      setBenchFusion(FusionMode::Pairs);
-      CompiledBenchmark CBPairs = compileBenchmark(B, Model, ThroughputReps);
-      setBenchFusion(Saved);
       Throughput T[NumEngines];
       for (size_t E = 0; E < NumEngines; ++E)
-        T[E] = measureThroughput(Engines[E].PairsOnly ? CBPairs : CB, B,
-                                 Engines[E].Engine, MinSeconds);
+        T[E] = measureThroughput(CB, B, Engines[E].Engine, MinSeconds);
       double Speedup[NumEngines] = {};
       for (size_t E = 1; E < NumEngines; ++E) {
         Speedup[E] =
             T[0].StepsPerSec > 0 ? T[E].StepsPerSec / T[0].StepsPerSec : 0;
         LogSum[E] += std::log(Speedup[E]);
       }
-      // Chain tier delta: chains-vs-pairs on the threaded engine. > 1
-      // means the superblock chains pay for themselves on this row.
-      double ChainDelta = Speedup[PairsLeg] > 0
-                              ? Speedup[ChainsLeg] / Speedup[PairsLeg]
-                              : 0;
       std::fprintf(Out,
                    "%s    {\"benchmark\": \"%s\", \"model\": \"%s\", "
                    "\"steps_per_run\": %llu, \"steps_per_sec\": {",
@@ -410,7 +384,7 @@ int runInterpReport(const std::string &Path) {
       for (size_t E = 1; E < NumEngines; ++E)
         std::fprintf(Out, "%s\"%s\": %.3f", E > 1 ? ", " : "",
                      Engines[E].Name, Speedup[E]);
-      std::fprintf(Out, "}, \"chain_tier_delta\": %.3f}", ChainDelta);
+      std::fprintf(Out, "}}");
       std::fprintf(stderr, "%-12s %-8s", B.Name.c_str(),
                    execModelName(Model));
       for (size_t E = 0; E < NumEngines; ++E) {
@@ -419,7 +393,7 @@ int runInterpReport(const std::string &Path) {
         if (E)
           std::fprintf(stderr, " (x%.2f)", Speedup[E]);
       }
-      std::fprintf(stderr, "  chains/pairs x%.2f\n", ChainDelta);
+      std::fprintf(stderr, "\n");
       ++RowCount;
     }
   }
@@ -698,17 +672,15 @@ BENCHMARK(BM_RegionInference);
 #endif // OCELOT_HAVE_GBENCH
 
 int main(int argc, char **argv) {
-  // --fusion= retargets the process-global tier before any compile; it
-  // composes with --json= (the `threaded` column then measures that tier;
-  // `threaded-pairs` stays pinned to the Pairs tier).
+  // --fusion= retargets the process-global fusion mode before any compile;
+  // it composes with --json= (the `threaded` column then measures it).
   int Kept = 1;
   for (int I = 1; I < argc; ++I) {
     if (std::strncmp(argv[I], "--fusion=", 9) == 0) {
       FusionMode F;
       if (!parseFusionMode(argv[I] + 9, F)) {
         std::fprintf(stderr,
-                     "error: unknown fusion tier '%s' (valid: off, pairs, "
-                     "chains)\n",
+                     "error: unknown fusion tier '%s' (valid: off, pairs)\n",
                      argv[I] + 9);
         return 1;
       }

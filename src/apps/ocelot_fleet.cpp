@@ -38,11 +38,10 @@
 ///
 /// Run flags: --format=jsonl|csv, --workers=N, --checkpoint-every=N,
 /// --max-cells=N (stop early; exit 3), --quiet,
-/// --fusion=off|pairs|chains (threaded-view fusion tier; default chains),
-/// --pgo=FILE (a `--pgo-out` bundle driving superblock-chain selection).
-/// Fusion tier and PGO change per-cell wall time only, never result
-/// bytes, so they are run-local knobs — not part of the spec hash — and
-/// shards of one sweep may legally mix them.
+/// --fusion=off|pairs (threaded-view pair fusion; default pairs).
+/// Fusion changes per-cell wall time only, never result bytes, so it is a
+/// run-local knob — not part of the spec hash — and shards of one sweep
+/// may legally mix it.
 ///
 /// All bad input exits 1 with a message on stderr; nothing here aborts.
 ///
@@ -51,7 +50,7 @@
 #include "fleet/FleetRunner.h"
 #include "fleet/ShardProgress.h"
 #include "harness/Experiment.h"
-#include "telemetry/Profile.h"
+#include "support/ParseFlag.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -79,8 +78,7 @@ int usage() {
       "ranges\n"
       "  run   --shard=i/K --out=DIR      evaluate or resume one shard\n"
       "        [--format=jsonl|csv] [--workers=N] [--checkpoint-every=N]\n"
-      "        [--max-cells=N] [--quiet] [--fusion=off|pairs|chains]\n"
-      "        [--pgo=FILE]\n"
+      "        [--max-cells=N] [--quiet] [--fusion=off|pairs]\n"
       "  merge --shards=K --out=DIR       validate + merge all shards\n"
       "        [--format=jsonl|csv] [--merged=PATH]\n"
       "  status DIR                       per-shard progress of a sweep "
@@ -94,15 +92,6 @@ int usage() {
 int fail(const std::string &Msg) {
   std::fprintf(stderr, "error: %s\n", Msg.c_str());
   return 1;
-}
-
-bool parseU64Flag(const std::string &Value, uint64_t &Out) {
-  if (Value.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  Out = std::strtoull(Value.c_str(), &End, 10);
-  return End && *End == '\0' && errno == 0;
 }
 
 /// --energy=CAP:RES[:RATE:CJ:RJ]; trailing fields keep their defaults.
@@ -366,13 +355,8 @@ int main(int argc, char **argv) {
       FusionMode F;
       if (!parseFusionMode(Value("--fusion="), F))
         return fail("unknown fusion tier '" + Value("--fusion=") +
-                    "' (valid: off, pairs, chains)");
+                    "' (valid: off, pairs)");
       setBenchFusion(F);
-    } else if (Arg.rfind("--pgo=", 0) == 0) {
-      auto Bundle = PgoBundle::load(Value("--pgo="), Error);
-      if (!Bundle)
-        return fail(Error);
-      setBenchPgo(std::move(Bundle));
     } else if (Arg == "--quiet") {
       Run.Quiet = true;
     } else {

@@ -560,8 +560,8 @@ RunResult Interpreter::runOnceTree() {
       RtValue A = eval(I->A);
       int64_t V = 0;
       switch (I->UnKind) {
-      case UnOp::Neg:
-        V = -A.V;
+      case UnOp::Neg: // Wrapping: -INT64_MIN == INT64_MIN.
+        V = static_cast<int64_t>(0 - static_cast<uint64_t>(A.V));
         break;
       case UnOp::Not:
         V = ~A.V;
@@ -580,25 +580,35 @@ RunResult Interpreter::runOnceTree() {
       RtValue B = eval(I->B);
       int64_t V = 0;
       bool Ok = true;
+      // Two's-complement wrapping semantics (Rust's wrapping_*): add,
+      // sub, mul and the INT64_MIN / -1 quotient wrap modulo 2^64, and
+      // INT64_MIN % -1 is 0, so no OCL value can overflow the host.
       switch (I->BinKind) {
       case BinOp::Add:
-        V = A.V + B.V;
+        V = static_cast<int64_t>(static_cast<uint64_t>(A.V) +
+                                 static_cast<uint64_t>(B.V));
         break;
       case BinOp::Sub:
-        V = A.V - B.V;
+        V = static_cast<int64_t>(static_cast<uint64_t>(A.V) -
+                                 static_cast<uint64_t>(B.V));
         break;
       case BinOp::Mul:
-        V = A.V * B.V;
+        V = static_cast<int64_t>(static_cast<uint64_t>(A.V) *
+                                 static_cast<uint64_t>(B.V));
         break;
       case BinOp::Div:
         if (B.V == 0)
           Ok = false;
+        else if (B.V == -1)
+          V = static_cast<int64_t>(0 - static_cast<uint64_t>(A.V));
         else
           V = A.V / B.V;
         break;
       case BinOp::Mod:
         if (B.V == 0)
           Ok = false;
+        else if (B.V == -1)
+          V = 0;
         else
           V = A.V % B.V;
         break;

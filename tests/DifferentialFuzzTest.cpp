@@ -741,29 +741,29 @@ TEST(DifferentialFuzz, RegressionCorpus) {
       // Reference parameter with a store through it.
       "fn bump(r: &int) -> int { *r += 5; return (*r); }\n"
       "fn main() { let x = 1; let y = bump(&x); log(x, y); }\n",
-      // Mid-chain trap: a long chainable run whose interior divides by
-      // zero — the threaded engine must unwind from inside a superblock
-      // chain with the same state the unfused legs leave.
+      // Mid-run trap: a long straight-line run of fusable arithmetic
+      // whose interior divides by zero — the fused leg must unwind from
+      // inside it with the same state the unfused legs leave.
       "io s;\nstatic n = 0;\nfn main() { let x = s(); let a = x + 1;\n"
       "  let b = a * 2; let c = (b / (x - x)); let d = c + a;\n"
       "  n = d; log(n); }\n",
-      // Mid-chain bounds trap: chainable loads around an out-of-range
-      // array store deep in a straight-line run.
+      // Mid-run bounds trap: loads around an out-of-range array store
+      // deep in a straight-line run.
       "static a: [int; 4];\nstatic n = 0;\nfn main() { let i = 2;\n"
       "  let u = a[i]; let v = u + 7; let w = v * 3; a[i + 9] = w;\n"
       "  n = w; log(n); }\n",
-      // Reboot-resume inside a chain: a hot straight-line body long
-      // enough that energy-driven failures interrupt it mid-chain; the
-      // resume PC lands on a plain interior code and must replay to the
-      // same state as the unfused legs (exercised across the
-      // energy-driven runThreeWay below).
+      // Reboot-resume inside a fused run: a hot straight-line body long
+      // enough that energy-driven failures interrupt it between a pair's
+      // head and tail; the resume PC lands on the tail's plain code and
+      // must replay to the same state as the unfused legs (exercised
+      // across the energy-driven runThreeWay below).
       "io s;\nstatic n = 0;\nstatic m = 0;\nfn main() { let x = s();\n"
       "  let a = x + 1; let b = a + 2; let c = b + 3; let d = c + 4;\n"
       "  let e = d + 5; let f = e + 6; let g = f + 7; let h = g + 8;\n"
       "  n = h; m = (n * 2); log(n, m); }\n",
-      // Chain head as a branch target: looping control re-enters the
-      // chained body at its head every iteration while the final CondBr
-      // terminates a chain.
+      // Loop back edges: control re-enters the straight-line body at a
+      // leader every iteration, and the loop test is a fusable
+      // bin+condbr.
       "io s;\nstatic n = 0;\nfn main() {\n"
       "  for i in 0..6 { let x = s(); let a = x + i; let b = a * 2;\n"
       "    n += b; }\n  log(n); }\n",

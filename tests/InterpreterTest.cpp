@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace ocelot;
 
 namespace {
@@ -58,6 +60,38 @@ TEST(Interp, UnaryOperators) {
                        "let b = !(x > 9); if b { log(1); } }");
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_EQ(Out[0].Args, (std::vector<int64_t>{-5, -6}));
+}
+
+TEST(Interp, SignedOverflowWrapsOnBothEngines) {
+  // Two's-complement wrapping (Rust's wrapping_*): INT64_MIN / -1 is
+  // INT64_MIN and INT64_MIN % -1 is 0 instead of a host SIGFPE, and
+  // add/sub/mul/neg wrap modulo 2^64. `out = m / d` is a fusable
+  // bin+storeg, so the fused handler's arithmetic is covered too.
+  CompiledArtifact A = compile(
+      "static out = 0;\n"
+      "fn main() { let m = 0 - 9223372036854775807 - 1; let d = 0 - 1;\n"
+      "  out = m / d; log(out);\n"
+      "  log(m % d, -m, m - 1, m + m, m * d, 9223372036854775807 + 1); }");
+  const int64_t Min = INT64_MIN, Max = INT64_MAX;
+  for (DispatchEngine Engine : {DispatchEngine::Tree, DispatchEngine::Threaded})
+    for (bool Taint : {false, true}) {
+      SCOPED_TRACE(std::string(Engine == DispatchEngine::Tree ? "tree"
+                                                              : "threaded") +
+                   (Taint ? " taint" : ""));
+      RunConfig Cfg;
+      Cfg.RecordTrace = true;
+      Cfg.Dispatch = Engine;
+      Cfg.TrackTaint = Taint;
+      Simulation I(A, Cfg);
+      RunResult Res = I.runOnce();
+      EXPECT_TRUE(Res.Completed) << Res.Trap;
+      EXPECT_TRUE(Res.Trap.empty()) << Res.Trap;
+      const std::vector<OutputEvent> &Out = Res.TraceData.Outputs;
+      ASSERT_EQ(Out.size(), 2u);
+      EXPECT_EQ(Out[0].Args, (std::vector<int64_t>{Min}));
+      EXPECT_EQ(Out[1].Args,
+                (std::vector<int64_t>{0, Min, Max, 0, Min, Min}));
+    }
 }
 
 TEST(Interp, CallsReturnsAndRecursionFreeNesting) {

@@ -323,9 +323,8 @@ TEST(TraceSinkTest, BoundedRingDropsOldest) {
 
 TEST(PcProfileTest, TaintAndFusedDispatchAgreeAndSumToSteps) {
   // The formal monitor selects the taint instantiation, which dispatches
-  // plain opcodes only; without it the same artifact runs its fused pairs
-  // and chains. Monitors never steer execution, so both walk the same
-  // PCs.
+  // plain opcodes only; without it the same artifact runs its fused
+  // pairs. Monitors never steer execution, so both walk the same PCs.
   const BenchmarkDef &B = *findBenchmark("tire");
   CompiledBenchmark CB = compileBenchmark(B, ExecModel::Ocelot);
   auto profiled = [&](bool Formal, PcProfile &P) {

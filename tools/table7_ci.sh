@@ -9,9 +9,9 @@
 # for any --workers=N).
 #
 # When a second argument names the ocelot-fleet binary, a small --oracle
-# grid is additionally run under --fusion=off and --fusion=chains and the
-# two result files byte-compared: the fusion tier is a wall-clock knob
-# and must never reach oracle verdicts.
+# grid is additionally run under --fusion=off and --fusion=pairs and the
+# two result files byte-compared: pair fusion is a wall-clock knob and
+# must never reach oracle verdicts.
 #
 # Usage: tools/table7_ci.sh PATH/TO/table7_fusion [PATH/TO/ocelot-fleet]
 set -euo pipefail
@@ -36,16 +36,16 @@ echo "== golden diff =="
 diff -u "$GOLDEN" "$WORK/table7.out"
 
 if [ -n "$FLEET" ]; then
-  echo "== oracle grid must be fusion-tier invariant (off vs chains) =="
+  echo "== oracle grid must be fusion invariant (off vs pairs) =="
   GRID=(--tau=300000 --seeds=7 --energy=2200:350
         --benchmarks=ekf_fusion,alarm_voting --models=ocelot,jit
         --scenarios=fusion-calm,fusion-storm --oracle)
   "$FLEET" run "${GRID[@]}" --shard=0/1 --out="$WORK/off" --quiet \
     --fusion=off
-  "$FLEET" run "${GRID[@]}" --shard=0/1 --out="$WORK/chains" --quiet \
-    --fusion=chains
-  cmp "$WORK/off/shard-0-of-1.jsonl" "$WORK/chains/shard-0-of-1.jsonl"
+  "$FLEET" run "${GRID[@]}" --shard=0/1 --out="$WORK/pairs" --quiet \
+    --fusion=pairs
+  cmp "$WORK/off/shard-0-of-1.jsonl" "$WORK/pairs/shard-0-of-1.jsonl"
 fi
 
 echo "PASS: table7 output matches the golden and oracle verdicts are" \
-     "worker- and fusion-tier-invariant"
+     "worker- and fusion-invariant"
